@@ -413,7 +413,7 @@ func New(cfg Config, loads []trace.FunctionLoad) (*Cluster, error) {
 			plan := cfg.Faults
 			// Perturb the seed per host: each host's injection streams are
 			// independent, but the whole cluster reproduces from one seed.
-			plan.Seed = cfg.Faults.Seed ^ (uint64(id+1) * 0x9E3779B97F4A7C15)
+			plan.Seed = cfg.Faults.Seed ^ (uint64(id) * 0x9E3779B97F4A7C15)
 			h.kern.Faults = faults.New(plan)
 		}
 		cl.hosts = append(cl.hosts, h)
@@ -757,6 +757,9 @@ func (cl *Cluster) Run() (*Result, error) {
 		PeakFrames: cl.peakFrames,
 		EndFrames:  cl.framesInUse(),
 	}
+	for _, h := range cl.hosts {
+		res.PeakFrames = max(res.PeakFrames, h.kern.Phys.Peak())
+	}
 	if deadline > 0 {
 		res.MeanFrames = cl.frameArea / float64(deadline)
 	}
@@ -1081,7 +1084,7 @@ func (cl *Cluster) scaleUp(ds *depState, now sim.Time) bool {
 		cl.notePlacement(ds, hid, kind)
 		cl.engine.At(c.Ready(), ds.redispatch)
 	}
-	return true
+	return n < 1
 }
 
 // applyEvent executes one host failure or drain: every deployment's
