@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"groundhog/internal/catalog"
-	"groundhog/internal/cluster"
 	"groundhog/internal/faults"
 	"groundhog/internal/isolation"
 	"groundhog/internal/metrics"
@@ -81,10 +80,10 @@ func clusterPlan(seed uint64) faults.Plan {
 // and pack-first concentrate — drains at 7/10, so every placer is measured
 // on its recovery behavior, not just its steady state. Hosts 1 and 3
 // survive the whole window.
-func clusterEvents(window sim.Duration) []cluster.Event {
-	return []cluster.Event{
-		{At: window * 2 / 5, Kind: cluster.EventHostFail, Host: 2},
-		{At: window * 7 / 10, Kind: cluster.EventHostDrain, Host: 0},
+func clusterEvents(window sim.Duration) []trace.Event {
+	return []trace.Event{
+		{At: window * 2 / 5, Kind: trace.EventHostFail, Host: 2},
+		{At: window * 7 / 10, Kind: trace.EventHostDrain, Host: 0},
 	}
 }
 
@@ -113,8 +112,8 @@ func ClusterBench(cfg Config, quick bool) ([]ClusterBenchResult, error) {
 	}
 
 	var out []ClusterBenchResult
-	for _, placer := range cluster.Placers() {
-		cc := cluster.Config{
+	for _, placer := range trace.Placers() {
+		cc := trace.Config{
 			Cost:                     cfg.Cost,
 			Mode:                     isolation.ModeGH,
 			Seed:                     cfg.Seed,
@@ -123,15 +122,16 @@ func ClusterBench(cfg Config, quick bool) ([]ClusterBenchResult, error) {
 			KeepAlive:                trace.DefaultKeepAlive,
 			ScaleToZeroAfter:         trace.DefaultScaleToZeroAfter,
 			Window:                   window,
+			CloneScaleOut:            true,
 			Placer:                   placer,
 			Faults:                   clusterPlan(cfg.Seed),
 			Events:                   clusterEvents(window),
 		}
-		cl, err := cluster.New(cc, loads)
+		fl, err := trace.NewFleet(cc, loads)
 		if err != nil {
 			return nil, err
 		}
-		res, err := cl.Run()
+		res, err := fl.Run()
 		if err != nil {
 			return nil, fmt.Errorf("cluster (%s): %w", placer.Name(), err)
 		}
@@ -153,7 +153,7 @@ func ClusterBench(cfg Config, quick bool) ([]ClusterBenchResult, error) {
 			r.Requests += fs.Requests
 			r.FullColdStarts += fs.FullColdStarts
 			r.TransferColdStarts += fs.TransferColdStarts
-			r.LocalCloneColdStarts += fs.LocalCloneColdStarts
+			r.LocalCloneColdStarts += fs.CloneColdStarts - fs.TransferColdStarts
 			r.Transfers += fs.Transfers
 			r.TransferDedups += fs.TransferDedups
 			r.TransferFaults += fs.TransferFaults
@@ -182,7 +182,7 @@ func ClusterBench(cfg Config, quick bool) ([]ClusterBenchResult, error) {
 				PeakFrames: hs.PeakFrames,
 			})
 		}
-		r.LeakedFrames = cl.Teardown()
+		r.LeakedFrames = fl.Teardown()
 		out = append(out, r)
 	}
 	return out, nil

@@ -96,64 +96,82 @@ func TestChainOnlyFunctionsNeedNoRate(t *testing.T) {
 }
 
 // TestChainConservationUnderFaultSchedules is the property test behind the
-// bench gate's chains_lost invariant: across seeds, with every fault site
-// armed and a crash-wave/corruption/drain schedule, every started chain
-// still completes all its stages (Lost == 0), no function drops a request
-// (Arrived == Requests), and teardown leaks no frames. Crashes delay chain
-// stages — the crashed request stays at the queue head and retries — but
-// must never lose them.
+// bench gate's chains_lost invariant: across seeds and host counts, with
+// every fault site armed and a crash-wave/corruption/drain schedule, every
+// started chain still completes all its stages (Lost == 0), no function
+// drops a request (Arrived == Requests), and teardown leaks no frames.
+// Crashes delay chain stages — the crashed request stays at the queue head
+// and retries — but must never lose them. On three hosts, round-robin
+// placement spreads every stage's pool across hosts and one host fails
+// mid-window, so stage invocations queued behind it re-dispatch onto the
+// survivors, while one stage runs its own per-function policy.
 func TestChainConservationUnderFaultSchedules(t *testing.T) {
-	for seed := uint64(1); seed <= 5; seed++ {
-		cfg := testConfig(isolation.ModeGH)
-		cfg.Seed = seed
-		cfg.CloneScaleOut = true
-		cfg.Window = 2 * time.Second
-		cfg.Faults = faults.Plan{
-			Seed: seed,
-			Rates: map[faults.Site]float64{
-				faults.SiteCloneSpawn:     0.01,
-				faults.SiteColdStart:      0.01,
-				faults.SiteRequestCrash:   0.01,
-				faults.SiteRestore:        0.005,
-				faults.SiteSnapshotExport: 0.005,
-			},
-			Schedule: map[faults.Site][]uint64{
-				faults.SiteCloneSpawn: {2},
-				faults.SiteColdStart:  {3},
-			},
-		}
-		cfg.Events = []Event{
-			{At: cfg.Window * 2 / 5, Kind: EventCrashWave},
-			{At: cfg.Window * 11 / 20, Kind: EventCorruptImage},
-			{At: cfg.Window * 7 / 10, Kind: EventDrain},
-		}
-		cfg.Chains = []Chain{testChain(20)}
-		loads := testLoads(t, 0)
-		loads[0].RatePerSec = 15 // head stage also takes direct traffic
-		f, err := NewFleet(cfg, loads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := f.Run()
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		cs, _ := res.Chain("test-chain")
-		if cs.Started == 0 {
-			t.Fatalf("seed %d: chain never started", seed)
-		}
-		if cs.Lost != 0 || cs.Completed != cs.Started {
-			t.Fatalf("seed %d: chain lost %d of %d runs under faults",
-				seed, cs.Lost, cs.Started)
-		}
-		for _, fs := range res.PerFunction {
-			if fs.Arrived != fs.Requests {
-				t.Fatalf("seed %d: %s lost %d requests",
-					seed, fs.Name, fs.Arrived-fs.Requests)
+	for _, hosts := range []int{1, 3} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			cfg := testConfig(isolation.ModeGH)
+			cfg.Seed = seed
+			cfg.CloneScaleOut = true
+			cfg.Window = 2 * time.Second
+			cfg.Faults = faults.Plan{
+				Seed: seed,
+				Rates: map[faults.Site]float64{
+					faults.SiteCloneSpawn:     0.01,
+					faults.SiteColdStart:      0.01,
+					faults.SiteRequestCrash:   0.01,
+					faults.SiteRestore:        0.005,
+					faults.SiteSnapshotExport: 0.005,
+				},
+				Schedule: map[faults.Site][]uint64{
+					faults.SiteCloneSpawn: {2},
+					faults.SiteColdStart:  {3},
+				},
 			}
-		}
-		if leaked := f.Teardown(); leaked != 0 {
-			t.Fatalf("seed %d: %d frames leaked after teardown", seed, leaked)
+			cfg.Events = []Event{
+				{At: cfg.Window * 2 / 5, Kind: EventCrashWave},
+				{At: cfg.Window * 11 / 20, Kind: EventCorruptImage},
+				{At: cfg.Window * 7 / 10, Kind: EventDrain},
+			}
+			if hosts > 1 {
+				cfg.Hosts = hosts
+				cfg.Placer = &RoundRobin{}
+				cfg.Events = append(cfg.Events, Event{At: cfg.Window / 2, Kind: EventHostFail, Host: 1})
+			}
+			cfg.Chains = []Chain{testChain(20)}
+			loads := testLoads(t, 0)
+			loads[0].RatePerSec = 15 // head stage also takes direct traffic
+			if hosts > 1 {
+				// A per-function policy that reads the memory signal, summed
+				// over the stage's pools on every host.
+				loads[2].Policy = CostMinimizing{}
+			}
+			f, err := NewFleet(cfg, loads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := f.Run()
+			if err != nil {
+				t.Fatalf("hosts %d seed %d: %v", hosts, seed, err)
+			}
+			cs, _ := res.Chain("test-chain")
+			if cs.Started == 0 {
+				t.Fatalf("hosts %d seed %d: chain never started", hosts, seed)
+			}
+			if cs.Lost != 0 || cs.Completed != cs.Started {
+				t.Fatalf("hosts %d seed %d: chain lost %d of %d runs under faults",
+					hosts, seed, cs.Lost, cs.Started)
+			}
+			for _, fs := range res.PerFunction {
+				if fs.Arrived != fs.Requests {
+					t.Fatalf("hosts %d seed %d: %s lost %d requests",
+						hosts, seed, fs.Name, fs.Arrived-fs.Requests)
+				}
+			}
+			if hosts > 1 && (!res.PerHost[1].Failed || res.PerHost[1].Placements == 0) {
+				t.Fatalf("hosts %d seed %d: failed host never carried work: %+v", hosts, seed, res.PerHost[1])
+			}
+			if leaked := f.Teardown(); leaked != 0 {
+				t.Fatalf("hosts %d seed %d: %d frames leaked after teardown", hosts, seed, leaked)
+			}
 		}
 	}
 }

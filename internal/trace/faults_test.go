@@ -210,41 +210,49 @@ func TestEventValidation(t *testing.T) {
 
 // TestFramesBalanceUnderRandomFaultSchedules is the randomized property
 // test: for arbitrary seeded fault schedules — random per-site rates drawn
-// from a seeded generator, both state stores, events included — every
-// request arrives, and teardown returns the frame pool to baseline. The
-// schedules are derived from sim.Rand, so a failure reproduces from its
-// logged seed.
+// from a seeded generator, both state stores, one and three hosts, events
+// included — every request arrives, and teardown returns every host's frame
+// pool to baseline. On three hosts, round-robin placement spreads the
+// pools (so image pulls and transfer faults run too) and one host fails
+// mid-window. The schedules are derived from sim.Rand, so a failure
+// reproduces from its logged seed.
 func TestFramesBalanceUnderRandomFaultSchedules(t *testing.T) {
 	stores := []core.StoreKind{core.StoreCopy, core.StoreCoW}
-	for _, store := range stores {
-		for seed := uint64(1); seed <= 6; seed++ {
-			seed := seed
-			gen := sim.NewRand(seed * 0x9E3779B97F4A7C15)
-			plan := faults.Plan{Seed: gen.Uint64(), Rates: map[faults.Site]float64{}}
-			for _, site := range faults.Sites {
-				if gen.Float64() < 0.5 {
-					plan.Rates[site] = gen.Float64() * 0.1
+	for _, hosts := range []int{1, 3} {
+		for _, store := range stores {
+			for seed := uint64(1); seed <= 6; seed++ {
+				gen := sim.NewRand(seed * 0x9E3779B97F4A7C15)
+				plan := faults.Plan{Seed: gen.Uint64(), Rates: map[faults.Site]float64{}}
+				for _, site := range faults.Sites {
+					if gen.Float64() < 0.5 {
+						plan.Rates[site] = gen.Float64() * 0.1
+					}
 				}
-			}
-			cfg := faultyConfig()
-			cfg.Store = store
-			cfg.Seed = seed
-			cfg.Window = 2 * time.Second
-			cfg.Faults = plan
-			cfg.Events = []Event{
-				{At: cfg.Window / 3, Kind: EventCrashWave},
-				{At: cfg.Window / 2, Kind: EventCorruptImage},
-			}
-			f, res := runFleet(t, cfg, 12)
-			for _, fs := range res.PerFunction {
-				if fs.Arrived != fs.Requests {
-					t.Fatalf("store %v seed %d: %s arrived %d != served %d (plan %+v)",
-						store, seed, fs.Name, fs.Arrived, fs.Requests, plan)
+				cfg := faultyConfig()
+				cfg.Store = store
+				cfg.Seed = seed
+				cfg.Window = 2 * time.Second
+				cfg.Faults = plan
+				cfg.Events = []Event{
+					{At: cfg.Window / 3, Kind: EventCrashWave},
+					{At: cfg.Window / 2, Kind: EventCorruptImage},
 				}
-			}
-			if leaked := f.Teardown(); leaked != 0 {
-				t.Fatalf("store %v seed %d: teardown left %d frames (plan %+v)",
-					store, seed, leaked, plan)
+				if hosts > 1 {
+					cfg.Hosts = hosts
+					cfg.Placer = &RoundRobin{}
+					cfg.Events = append(cfg.Events, Event{At: cfg.Window * 3 / 5, Kind: EventHostFail, Host: 2})
+				}
+				f, res := runFleet(t, cfg, 12)
+				for _, fs := range res.PerFunction {
+					if fs.Arrived != fs.Requests {
+						t.Fatalf("hosts %d store %v seed %d: %s arrived %d != served %d (plan %+v)",
+							hosts, store, seed, fs.Name, fs.Arrived, fs.Requests, plan)
+					}
+				}
+				if leaked := f.Teardown(); leaked != 0 {
+					t.Fatalf("hosts %d store %v seed %d: teardown left %d frames (plan %+v)",
+						hosts, store, seed, leaked, plan)
+				}
 			}
 		}
 	}

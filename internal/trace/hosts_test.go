@@ -1,47 +1,45 @@
-package cluster
+package trace
 
 import (
 	"testing"
 	"time"
 
-	"groundhog/internal/catalog"
 	"groundhog/internal/faults"
 	"groundhog/internal/isolation"
 	"groundhog/internal/kernel"
 	"groundhog/internal/sim"
-	"groundhog/internal/trace"
 )
 
-func testLoads(t *testing.T, rate float64) []trace.FunctionLoad {
+// hostLoads is testLoads with bursty (CV 3) arrivals, so scale-ups spill
+// across hosts.
+func hostLoads(t *testing.T, rate float64) []FunctionLoad {
 	t.Helper()
-	names := []string{"get-time (p)", "md2html (p)", "bicg (c)"}
-	var loads []trace.FunctionLoad
-	for _, n := range names {
-		e, err := catalog.Lookup(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		loads = append(loads, trace.FunctionLoad{Entry: e, RatePerSec: rate, Burstiness: 3})
+	loads := testLoads(t, rate)
+	for i := range loads {
+		loads[i].Burstiness = 3
 	}
 	return loads
 }
 
-func testConfig() Config {
+// hostConfig is a four-host GH fleet with clone scale-out on, so every
+// start path — full pipeline, local clone, pull then clone — is reachable.
+func hostConfig() Config {
 	return Config{
 		Cost:                     kernel.Default(),
 		Mode:                     isolation.ModeGH,
 		Seed:                     3,
-		Hosts:                    3,
+		Hosts:                    4,
 		MaxContainersPerFunction: 4,
 		KeepAlive:                600 * time.Millisecond,
 		ScaleToZeroAfter:         1800 * time.Millisecond,
 		Window:                   3 * time.Second,
+		CloneScaleOut:            true,
 	}
 }
 
-// testFaults arms every recovery-relevant site at a low rate, plus one
+// hostFaults arms every recovery-relevant site at a low rate, plus one
 // scheduled transfer abort so the pull fallback path runs deterministically.
-func testFaults(seed uint64) faults.Plan {
+func hostFaults(seed uint64) faults.Plan {
 	return faults.Plan{
 		Seed: seed,
 		Rates: map[faults.Site]float64{
@@ -56,35 +54,20 @@ func testFaults(seed uint64) faults.Plan {
 	}
 }
 
-func runCluster(t *testing.T, cfg Config, rate float64) (*Cluster, *Result) {
+// runHosts runs hostLoads at the given rate; checkNoLostWork then asserts
+// the multi-host invariants too — host failures re-dispatch requests, never
+// drop them, and teardown returns every frame on every host.
+func runHosts(t *testing.T, cfg Config, rate float64) (*Fleet, *Result) {
 	t.Helper()
-	cl, err := New(cfg, testLoads(t, rate))
+	f, err := NewFleet(cfg, hostLoads(t, rate))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Run()
+	res, err := f.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cl, res
-}
-
-// checkNoLostWork asserts the cluster's two invariants: every arrived
-// request was served (host failures re-dispatch, never drop), and teardown
-// returns every frame on every host.
-func checkNoLostWork(t *testing.T, cl *Cluster, res *Result) {
-	t.Helper()
-	if lost := res.LostRequests(); lost != 0 {
-		t.Fatalf("%d requests lost", lost)
-	}
-	for _, fs := range res.PerFunction {
-		if fs.Arrived != fs.Requests {
-			t.Fatalf("%s: arrived %d != served %d", fs.Name, fs.Arrived, fs.Requests)
-		}
-	}
-	if leaked := cl.Teardown(); leaked != 0 {
-		t.Fatalf("teardown left %d frames in use", leaked)
-	}
+	return f, res
 }
 
 // TestPlacersSurviveFailureAndDrain is the tentpole invariant test: each
@@ -93,15 +76,15 @@ func checkNoLostWork(t *testing.T, cl *Cluster, res *Result) {
 func TestPlacersSurviveFailureAndDrain(t *testing.T) {
 	for _, placer := range Placers() {
 		t.Run(placer.Name(), func(t *testing.T) {
-			cfg := testConfig()
+			cfg := hostConfig()
 			cfg.Placer = placer
-			cfg.Faults = testFaults(11)
+			cfg.Faults = hostFaults(11)
 			cfg.Events = []Event{
 				{At: sim.Duration(cfg.Window) * 2 / 5, Kind: EventHostFail, Host: 2},
 				{At: sim.Duration(cfg.Window) * 7 / 10, Kind: EventHostDrain, Host: 1},
 			}
-			cl, res := runCluster(t, cfg, 20)
-			checkNoLostWork(t, cl, res)
+			f, res := runHosts(t, cfg, 20)
+			checkNoLostWork(t, f, res)
 			if !res.PerHost[2].Failed || res.PerHost[1].Failed {
 				t.Fatalf("host flags wrong: %+v", res.PerHost)
 			}
@@ -122,9 +105,9 @@ func TestPlacersSurviveFailureAndDrain(t *testing.T) {
 // TestPackFirstPacks: with every host eligible, pack-first never leaves
 // host 0.
 func TestPackFirstPacks(t *testing.T) {
-	cfg := testConfig()
+	cfg := hostConfig()
 	cfg.Placer = PackFirst{}
-	cl, res := runCluster(t, cfg, 20)
+	f, res := runHosts(t, cfg, 20)
 	for _, hs := range res.PerHost[1:] {
 		if hs.Placements != 0 {
 			t.Fatalf("pack-first placed %d containers on host %d", hs.Placements, hs.ID)
@@ -136,16 +119,16 @@ func TestPackFirstPacks(t *testing.T) {
 	if res.Registry.Transfers != 0 {
 		t.Fatalf("pack-first on one host paid %d transfers", res.Registry.Transfers)
 	}
-	checkNoLostWork(t, cl, res)
+	checkNoLostWork(t, f, res)
 }
 
 // TestPackFirstSpillsAtCapacity: a 1-container host cap forces pack-first
 // off host 0 once it is full.
 func TestPackFirstSpillsAtCapacity(t *testing.T) {
-	cfg := testConfig()
+	cfg := hostConfig()
 	cfg.Placer = PackFirst{}
 	cfg.HostCapacity = 2
-	cl, res := runCluster(t, cfg, 30)
+	f, res := runHosts(t, cfg, 30)
 	spilled := 0
 	for _, hs := range res.PerHost[1:] {
 		spilled += hs.Placements
@@ -153,15 +136,15 @@ func TestPackFirstSpillsAtCapacity(t *testing.T) {
 	if spilled == 0 {
 		t.Fatal("capacity cap never forced a spill off host 0")
 	}
-	checkNoLostWork(t, cl, res)
+	checkNoLostWork(t, f, res)
 }
 
 // TestRoundRobinSpreadsAndPaysTransfers: cycling placements touch every
 // host, so the deployment's image must be pulled across hosts.
 func TestRoundRobinSpreadsAndPaysTransfers(t *testing.T) {
-	cfg := testConfig()
+	cfg := hostConfig()
 	cfg.Placer = &RoundRobin{}
-	cl, res := runCluster(t, cfg, 30)
+	f, res := runHosts(t, cfg, 30)
 	for _, hs := range res.PerHost {
 		if hs.Placements == 0 {
 			t.Fatalf("round-robin never placed on host %d", hs.ID)
@@ -180,38 +163,38 @@ func TestRoundRobinSpreadsAndPaysTransfers(t *testing.T) {
 	if transferStarts == 0 {
 		t.Fatal("no transfer cold starts recorded")
 	}
-	checkNoLostWork(t, cl, res)
+	checkNoLostWork(t, f, res)
 }
 
 // TestLocalityAvoidsTransfers: with no failures, locality-aware placement
 // keeps each deployment on its image-warm host and never pays a transfer,
 // while round-robin on the same workload does.
 func TestLocalityAvoidsTransfers(t *testing.T) {
-	loc := testConfig()
+	loc := hostConfig()
 	loc.Placer = LocalityAware{}
-	clLoc, resLoc := runCluster(t, loc, 30)
+	fLoc, resLoc := runHosts(t, loc, 30)
 	if resLoc.Registry.Transfers != 0 {
 		t.Fatalf("locality-aware paid %d transfers with every host healthy", resLoc.Registry.Transfers)
 	}
-	rr := testConfig()
+	rr := hostConfig()
 	rr.Placer = &RoundRobin{}
-	_, resRR := runCluster(t, rr, 30)
+	_, resRR := runHosts(t, rr, 30)
 	if resRR.Registry.Transfers <= resLoc.Registry.Transfers {
 		t.Fatalf("round-robin transfers (%d) not above locality's (%d)",
 			resRR.Registry.Transfers, resLoc.Registry.Transfers)
 	}
-	checkNoLostWork(t, clLoc, resLoc)
+	checkNoLostWork(t, fLoc, resLoc)
 }
 
 // TestClusterDeterministic: the same seed reproduces the same run,
 // transfers, placements and latencies included.
 func TestClusterDeterministic(t *testing.T) {
 	run := func() *Result {
-		cfg := testConfig()
+		cfg := hostConfig()
 		cfg.Placer = LocalityAware{}
-		cfg.Faults = testFaults(11)
+		cfg.Faults = hostFaults(11)
 		cfg.Events = []Event{{At: sim.Duration(cfg.Window) / 2, Kind: EventHostFail, Host: 0}}
-		_, res := runCluster(t, cfg, 20)
+		_, res := runHosts(t, cfg, 20)
 		return res
 	}
 	a, b := run(), run()
@@ -232,12 +215,12 @@ func TestClusterDeterministic(t *testing.T) {
 // moves the work to the survivor with nothing lost; the failed host takes
 // no further placements.
 func TestHostFailureRedispatches(t *testing.T) {
-	cfg := testConfig()
+	cfg := hostConfig()
 	cfg.Hosts = 2
 	cfg.Placer = PackFirst{} // everything lands on host 0 until it dies
 	cfg.Events = []Event{{At: sim.Duration(cfg.Window) / 2, Kind: EventHostFail, Host: 0}}
-	cl, res := runCluster(t, cfg, 20)
-	checkNoLostWork(t, cl, res)
+	f, res := runHosts(t, cfg, 20)
+	checkNoLostWork(t, f, res)
 	crashes := 0
 	for _, fs := range res.PerFunction {
 		crashes += fs.EventCrashes
@@ -253,13 +236,13 @@ func TestHostFailureRedispatches(t *testing.T) {
 // TestValidateRejectsTotalOutage: an event schedule that downs every host
 // is rejected up front — the queues could never drain.
 func TestValidateRejectsTotalOutage(t *testing.T) {
-	cfg := testConfig()
+	cfg := hostConfig()
 	cfg.Hosts = 2
 	cfg.Events = []Event{
 		{At: sim.Duration(time.Second), Kind: EventHostFail, Host: 0},
 		{At: sim.Duration(2 * time.Second), Kind: EventHostDrain, Host: 1},
 	}
-	if _, err := New(cfg, testLoads(t, 10)); err == nil {
+	if _, err := NewFleet(cfg, hostLoads(t, 10)); err == nil {
 		t.Fatal("config downing every host was accepted")
 	}
 }
@@ -268,20 +251,16 @@ func TestValidateRejectsTotalOutage(t *testing.T) {
 // under FixedTTL evicts images everywhere; a post-drain cluster holds no
 // frames even before Teardown.
 func TestScaleToZeroReleasesClusterMemory(t *testing.T) {
-	cfg := testConfig()
+	cfg := hostConfig()
 	cfg.Placer = &RoundRobin{} // force images onto several hosts
 	cfg.Window = 6 * time.Second
 	// Sparse Poisson arrivals leave gaps long enough for the two-tier
 	// reaper to take pools to zero mid-window.
-	loads := testLoads(t, 2)
-	for i := range loads {
-		loads[i].Burstiness = 1
-	}
-	cl, err := New(cfg, loads)
+	f, err := NewFleet(cfg, testLoads(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Run()
+	res, err := f.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +271,64 @@ func TestScaleToZeroReleasesClusterMemory(t *testing.T) {
 	if scaledToZero == 0 {
 		t.Skip("no pool scaled to zero at this operating point")
 	}
-	if leaked := cl.Teardown(); leaked != 0 {
+	if leaked := f.Teardown(); leaked != 0 {
 		t.Fatalf("teardown left %d frames", leaked)
+	}
+}
+
+// TestPlacementViewsAllocFree: placement views are built in the fleet's
+// reused scratch slice, so a scale-up's placement allocates nothing once
+// the slice has grown — on one host and on several.
+func TestPlacementViewsAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	for _, hosts := range []int{1, 4} {
+		cfg := hostConfig()
+		cfg.Hosts = hosts
+		f, err := NewFleet(cfg, hostLoads(t, 10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs := f.fns[0]
+		sig := f.signals(fs, 0)
+		allocs := testing.AllocsPerRun(100, func() {
+			views := f.eligibleHosts(fs, 0)
+			_ = f.placer.Place(sig, views)
+		})
+		if allocs != 0 {
+			t.Fatalf("%d hosts: placement allocated %.1f times per scale-up", hosts, allocs)
+		}
+	}
+}
+
+// TestFindSourceSkipsDestination: a pull source is always another live
+// host. On one host nothing can source a transfer, even with the image
+// resident; on two, the image-holding host sources the other — and never
+// itself.
+func TestFindSourceSkipsDestination(t *testing.T) {
+	for _, hosts := range []int{1, 2} {
+		cfg := hostConfig()
+		cfg.Hosts = hosts
+		cfg.Placer = PackFirst{}
+		f, err := NewFleet(cfg, hostLoads(t, 10)[:1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs := f.fns[0]
+		if _, _, err := fs.pools[0].EnsureExportedImage(sim.NewMeter()); err != nil {
+			t.Fatal(err)
+		}
+		if src := f.findSource(fs, 0); src != nil {
+			t.Fatalf("%d hosts: host 0 was offered itself as a pull source", hosts)
+		}
+		if hosts > 1 {
+			if src := f.findSource(fs, 1); src != fs.pools[0] {
+				t.Fatalf("host 1's pull source = %p, want host 0's pool %p", src, fs.pools[0])
+			}
+		}
+		if leaked := f.Teardown(); leaked != 0 {
+			t.Fatalf("%d hosts: teardown left %d frames", hosts, leaked)
+		}
 	}
 }

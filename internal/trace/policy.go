@@ -62,8 +62,9 @@ type Signals struct {
 	// crash observation ring (0 with no recent crashes). A spike tells an
 	// adaptive policy to over-provision while a failure burst lasts.
 	CrashRatePerSec float64
-	// Memory lazily reports the deployment's current memory accounting
-	// (FramesInUse is host-wide on shared-kernel fleets). Computing the
+	// Memory lazily reports the deployment's current memory accounting,
+	// summed over its hosts' pools (FramesInUse is host-wide, so it sums
+	// the kernels the function occupies). Computing the
 	// stats costs a walk over every resident page, so the signal is a
 	// memoized thunk: policies that never call Get never pay for the walk,
 	// and repeated Gets within one snapshot reuse the first answer.
@@ -82,9 +83,9 @@ type MemorySignal struct {
 // memoryMemo is the shared memo behind a fleet-issued MemorySignal; the
 // fleet resets it at every signal snapshot so a refreshed snapshot re-walks.
 type memoryMemo struct {
-	platform *faas.Platform
-	valid    bool
-	stats    faas.MemoryStats
+	pools []*faas.Platform // per host; nil entries are skipped
+	valid bool
+	stats faas.MemoryStats
 }
 
 // Get returns the memory stats, computing (and memoizing) them on first use.
@@ -93,7 +94,18 @@ func (m MemorySignal) Get() faas.MemoryStats {
 		return m.value
 	}
 	if !m.memo.valid {
-		m.memo.stats = m.memo.platform.Memory()
+		var sum faas.MemoryStats
+		for _, pl := range m.memo.pools {
+			if pl == nil {
+				continue
+			}
+			st := pl.Memory()
+			sum.StateStoreBytes += st.StateStoreBytes
+			sum.ResidentPages += st.ResidentPages
+			sum.SharedFramePages += st.SharedFramePages
+			sum.FramesInUse += st.FramesInUse
+		}
+		m.memo.stats = sum
 		m.memo.valid = true
 	}
 	return m.memo.stats
@@ -404,51 +416,6 @@ func DefaultPolicies() []Policy {
 		SLOAware{},
 		CostMinimizing{},
 	}
-}
-
-// HostView is one host's placement-relevant state as the cluster scheduler
-// sees it at a scale-up decision: image locality (the tentpole signal — a
-// host with the image clones in ~1 ms, one without it pays a transfer or the
-// full pipeline), pool occupancy, and memory pressure. The cluster builds
-// one HostView per eligible host (failed and draining hosts are filtered
-// out before placement) and hands the slice to a Placer.
-type HostView struct {
-	// Host is the host's cluster-wide ID.
-	Host int
-	// HasImage reports whether the deployment's snapshot image is resident
-	// on this host (its platform holds a live exported image).
-	HasImage bool
-	// CloneReady reports whether a scale-up on this host would take the
-	// clone fast path right now — an image is resident or an eligible donor
-	// is pooled (faas.Platform.CloneSourceReady).
-	CloneReady bool
-	// Pool is the deployment's container count on this host; Busy is how
-	// many of those are mid-request, Free = Pool − Busy.
-	Pool int
-	Busy int
-	Free int
-	// Containers is the host's total container count across all
-	// deployments — the packing signal.
-	Containers int
-	// FramesInUse is the host's physical-memory occupancy in frames.
-	FramesInUse int
-	// PullInFlight reports whether an image transfer to this host is
-	// already underway for this deployment; placing here joins that pull
-	// (dedup) instead of starting a second one.
-	PullInFlight bool
-}
-
-// Placer decides where a cluster scale-up lands. Place returns an index
-// into hosts — which is never empty and contains only eligible hosts — and
-// must be deterministic given its inputs plus the placer's own state (a
-// round-robin cursor is state; a clock or RNG is not), so cluster runs
-// reproduce byte-identically.
-type Placer interface {
-	// Name identifies the placer in results and benchmark output.
-	Name() string
-	// Place picks hosts[i] for the next container of the deployment
-	// described by sig.
-	Place(sig Signals, hosts []HostView) int
 }
 
 // Advice is one policy's decision set against an observed signal snapshot —

@@ -1,4 +1,4 @@
-package cluster
+package trace
 
 import (
 	"fmt"
@@ -12,7 +12,7 @@ import (
 // Registry tracks cross-host snapshot-image distribution. Image *presence*
 // is never stored here: a host holds a deployment's image exactly when its
 // platform reports a live exported image (faas.Platform.ExportedImage), so
-// presence rides the PR 4 refcount lifecycle directly — evicting the last
+// presence rides the image refcount lifecycle directly — evicting the last
 // holder deregisters the host, re-exporting after a scale-from-zero
 // re-registers it, and there is no separate bit to go stale. What the
 // registry does own is the pull bookkeeping: which transfers are in flight
@@ -88,7 +88,7 @@ func (r *Registry) Pull(fn string, host int, src, dst *faas.Platform, dstKern *k
 	m := sim.NewMeter()
 	img, state, err := src.EnsureExportedImage(m)
 	if err != nil {
-		return m.Total(), fmt.Errorf("cluster: pull source: %w", err)
+		return m.Total(), fmt.Errorf("trace: pull source: %w", err)
 	}
 	r.stats.Transfers++
 	copied, err := core.CopyImageTo(dstKern, img, m)

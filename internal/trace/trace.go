@@ -1,13 +1,22 @@
 // Package trace simulates a multi-function FaaS fleet: several deployed
-// functions sharing one invoker host, each with its own arrival process,
-// dynamically scaled container pools with keep-alive expiry, cold starts on
-// demand, and FIFO queueing when the pool is saturated.
+// functions spread over one or more invoker hosts, each function with its
+// own arrival process, dynamically scaled container pools with keep-alive
+// expiry, cold starts on demand, and FIFO queueing when the pool is
+// saturated.
 //
 // The paper motivates Groundhog with exactly this setting (§1-§2:
 // multiplexed tenants, Azure-style short functions [39], idle capacity
 // between requests); the fleet simulation quantifies what request isolation
 // costs a *provider* — latency distributions, cold-start rates, restore
 // counts, and memory — rather than a single benchmark container.
+//
+// With Config.Hosts above one, every host owns its own physical memory and
+// kernel, a Placer picks the host for each scale-up, and a Registry moves
+// snapshot images between hosts: a host holding a function's image clones
+// a container in about a millisecond, a host without it first pays a
+// per-frame transfer (kernel.CostModel.ImageTransferBase/PerFrame), and a
+// cold host runs the full Fig. 1 pipeline. Host failure and drain events
+// take hosts out of the rotation mid-run.
 package trace
 
 import (
@@ -76,7 +85,19 @@ type Config struct {
 	Mode isolation.Mode
 	Seed uint64
 
-	// MaxContainersPerFunction caps each function's pool.
+	// Hosts is the number of simulated hosts, each with its own physical
+	// memory, kernel, fault-injection streams and per-function pools. Zero
+	// or one is a single shared host.
+	Hosts int
+	// HostCapacity caps one host's total container count across all
+	// functions (0 = unlimited); a full host takes no placements.
+	HostCapacity int
+	// Placer decides which host each scale-up lands on; nil selects
+	// LocalityAware.
+	Placer Placer
+
+	// MaxContainersPerFunction caps each function's pool, summed over
+	// hosts.
 	MaxContainersPerFunction int
 	// KeepAlive is the idle TTL after which a warm container is reaped.
 	KeepAlive sim.Duration
@@ -128,9 +149,11 @@ type Config struct {
 
 	// Faults arms deterministic fault injection across every layer of the
 	// fleet's stack — kernel spawn-from-image, core export/restore, faas
-	// cold starts and requests (see internal/faults). The zero Plan leaves
-	// every seam disarmed: the run is bit-identical to a fleet without this
-	// field.
+	// cold starts and requests, image transfers (see internal/faults). Host
+	// i draws from the plan with its seed XORed with i·φ, so host 0 runs
+	// the plan as given and every host's streams are independent. The zero
+	// Plan leaves every seam disarmed: the run is bit-identical to a fleet
+	// without this field.
 	Faults faults.Plan
 
 	// Events schedules fleet-level failure events at fixed offsets into the
@@ -244,6 +267,13 @@ const (
 	// EventDrain gracefully removes the targeted containers and evicts
 	// their images (host maintenance); the pools rebuild on demand.
 	EventDrain EventKind = "drain"
+	// EventHostFail crashes one host: its containers die, its images and
+	// in-flight pulls are released, and it leaves the placement rotation
+	// for good. Queued requests re-dispatch onto the survivors.
+	EventHostFail EventKind = "host-fail"
+	// EventHostDrain gracefully retires one host: the same cleanup as a
+	// failure, counted as Drained instead of EventCrashes.
+	EventHostDrain EventKind = "host-drain"
 )
 
 // Event is one scheduled fleet failure.
@@ -253,7 +283,10 @@ type Event struct {
 	// Kind selects the failure.
 	Kind EventKind
 	// Function targets one function by display name; empty targets all.
+	// Host events ignore it.
 	Function string
+	// Host is the host a host-fail or host-drain event targets.
+	Host int
 }
 
 // Validate checks the configuration.
@@ -276,18 +309,32 @@ func (c Config) Validate() error {
 	if c.SLOTargetMs < 0 {
 		return fmt.Errorf("trace: negative SLO target")
 	}
+	if c.Hosts < 0 || c.HostCapacity < 0 {
+		return fmt.Errorf("trace: negative host count or capacity")
+	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
 	}
+	down := map[int]bool{}
 	for _, ev := range c.Events {
 		if ev.At < 0 || sim.Time(ev.At) >= sim.Time(c.Window) {
 			return fmt.Errorf("trace: event %q at %v outside the window", ev.Kind, ev.At)
 		}
 		switch ev.Kind {
 		case EventCrashWave, EventCorruptImage, EventDrain:
+		case EventHostFail, EventHostDrain:
+			if ev.Host < 0 || ev.Host >= c.hostCount() {
+				return fmt.Errorf("trace: event %q targets unknown host %d", ev.Kind, ev.Host)
+			}
+			down[ev.Host] = true
 		default:
 			return fmt.Errorf("trace: unknown event kind %q", ev.Kind)
 		}
+	}
+	if len(down) >= c.hostCount() {
+		// Failed and drained hosts never return; with every host down the
+		// queues could never drain and dispatch would back off forever.
+		return fmt.Errorf("trace: events take down all %d hosts; at least one must survive", c.hostCount())
 	}
 	seen := map[string]bool{}
 	for _, ch := range c.Chains {
@@ -301,6 +348,9 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// hostCount is the number of simulated hosts (Hosts, at least one).
+func (c Config) hostCount() int { return max(c.Hosts, 1) }
 
 // FunctionStats aggregates one function's outcomes.
 type FunctionStats struct {
@@ -316,11 +366,26 @@ type FunctionStats struct {
 	// the snapshot-clone fast path (Config.CloneScaleOut).
 	FullColdStarts  int
 	CloneColdStarts int
+	// TransferColdStarts counts the clones that first pulled the image from
+	// another host — a subset of CloneColdStarts, zero on one host.
+	TransferColdStarts int
 	// ColdStartCost is the summed virtual cost of all cold starts — the
-	// provider's total scale-up bill for this function.
+	// provider's total scale-up bill for this function, transfer waits
+	// included; TransferCost is the part spent on cross-host pulls.
 	ColdStartCost sim.Duration
-	Restores      int
-	Reaped        int
+	TransferCost  sim.Duration
+	// Transfers, TransferDedups and TransferFaults count the function's
+	// pull activity: pulls started, scale-ups that joined a pull already in
+	// flight to their host, and pulls aborted by an injected transfer fault
+	// (the scale-up then ran the full pipeline).
+	Transfers      int
+	TransferDedups int
+	TransferFaults int
+	// PlacementsPerHost counts the function's containers placed on each
+	// host, warm floor included, indexed by host ID.
+	PlacementsPerHost []int
+	Restores          int
+	Reaped            int
 	// ScaledToZero counts the times the reaper took the pool to zero;
 	// ImagesEvicted counts the exported snapshot images actually released —
 	// at scale-to-zero, or at a later policy tick once a kept image stops
@@ -345,7 +410,7 @@ type FunctionStats struct {
 	DonorsQuarantined      int
 	ImageIntegrityFailures int
 	// EventCrashes and Drained count containers removed by scheduled
-	// crash-wave and drain events.
+	// crash-wave and drain events (host-fail and host-drain included).
 	EventCrashes int
 	Drained      int
 
@@ -371,8 +436,8 @@ type FunctionStats struct {
 
 // newFunctionStats builds a FunctionStats with its latency recorders
 // initialized per the fleet's Config.SketchStats selection.
-func newFunctionStats(name string, sketch bool) *FunctionStats {
-	st := &FunctionStats{Name: name}
+func newFunctionStats(name string, sketch bool, hosts int) *FunctionStats {
+	st := &FunctionStats{Name: name, PlacementsPerHost: make([]int, hosts)}
 	if sketch {
 		st.E2E = metrics.NewSketch(0)
 		st.Queue = metrics.NewSketch(0)
@@ -393,10 +458,16 @@ type Result struct {
 	// Chains holds one entry per configured chain (sorted by name; empty
 	// without Config.Chains).
 	Chains []*ChainStats
-	// PeakFrames is the kernel-wide high-water mark of resident frames — a
-	// direct memory-pressure comparison between isolation modes.
+	// PerHost holds one entry per host, in host-ID order.
+	PerHost []HostStats
+	// Registry counts cross-host image transfers (zero on one host).
+	Registry RegistryStats
+	// PeakFrames is the high-water mark of resident frames — a direct
+	// memory-pressure comparison between isolation modes. It is the larger
+	// of the frames summed over hosts at policy ticks and the largest
+	// host's exact peak, so on one host it is that kernel's exact peak.
 	PeakFrames int
-	// EndFrames is the kernel-wide frame count after the drain — with
+	// EndFrames is the frame count summed over hosts after the drain — with
 	// scale-to-zero it shows evicted deployments actually returning their
 	// memory.
 	EndFrames int
@@ -471,8 +542,13 @@ type queuedReq struct {
 
 // fnState is the dispatcher's view of one deployed function.
 type fnState struct {
-	load     FunctionLoad
-	platform *faas.Platform
+	load FunctionLoad
+	// pools holds the function's platform on each host, indexed by host ID;
+	// a host's entry stays nil until the first placement there.
+	pools []*faas.Platform
+	// seed is the function's platform seed; host h's pool draws from
+	// seed + h·104729.
+	seed uint64
 	// policy is the function's resolved scaling policy (the load's
 	// override, else the fleet's); signalFree caches whether it declared
 	// SignalFree, so the dispatcher skips maintaining the observation
@@ -532,6 +608,17 @@ func (fs *fnState) observeCrash(t sim.Time) {
 
 // queueDepth reports the number of requests waiting for a container.
 func (fs *fnState) queueDepth() int { return len(fs.queue) - fs.qhead }
+
+// poolSize is the function's container count summed over hosts.
+func (fs *fnState) poolSize() int {
+	n := 0
+	for _, pl := range fs.pools {
+		if pl != nil {
+			n += len(pl.Containers())
+		}
+	}
+	return n
+}
 
 // enqueue appends one request to the queue ring.
 func (fs *fnState) enqueue(q queuedReq) {
@@ -637,17 +724,24 @@ type Fleet struct {
 	cfg Config
 	// policy is the fleet-wide default; each fnState resolves its own
 	// (FunctionLoad.Policy overrides it per function).
-	policy Policy
-	engine *sim.Engine
-	kern   *kernel.Kernel
-	fns    []*fnState
-	chains []*chainState
-	err    error
+	policy   Policy
+	placer   Placer
+	engine   *sim.Engine
+	hosts    []*host
+	registry *Registry
+	fns      []*fnState
+	chains   []*chainState
+	err      error
 
-	// frameArea integrates in-use frames over virtual time (sampled at
-	// policy ticks); lastSample is the integration cursor.
+	// frameArea integrates in-use frames, summed over hosts, over virtual
+	// time (sampled at policy ticks); lastSample is the integration cursor
+	// and peakFrames the largest sample.
 	frameArea  float64
 	lastSample sim.Time
+	peakFrames int
+
+	// views is the reused scratch slice behind every placement decision.
+	views []HostView
 
 	// p95Scratch is the reused sorted copy behind the per-tick P95E2EMs
 	// signal — one buffer for the whole fleet instead of a fresh
@@ -660,8 +754,10 @@ type Fleet struct {
 	reapOverride func(fs *fnState, now sim.Time)
 }
 
-// NewFleet deploys the given functions (one warm container each — providers
-// keep a floor of pre-warmed capacity) on a shared simulated host.
+// NewFleet deploys the given functions on cfg.Hosts simulated hosts, one
+// warm container each — providers keep a floor of pre-warmed capacity —
+// placed by the Placer, so even the warm floor follows the placement
+// policy.
 func NewFleet(cfg Config, loads []FunctionLoad) (*Fleet, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -670,16 +766,26 @@ func NewFleet(cfg Config, loads []FunctionLoad) (*Fleet, error) {
 		return nil, fmt.Errorf("trace: no functions")
 	}
 	f := &Fleet{
-		cfg:    cfg,
-		policy: cfg.Policy,
-		engine: sim.NewEngine(),
-		kern:   kernel.New(cfg.Cost),
+		cfg:      cfg,
+		policy:   cfg.Policy,
+		placer:   cfg.Placer,
+		engine:   sim.NewEngine(),
+		registry: newRegistry(),
 	}
-	// Arm the shared kernel's fault seams. A zero plan yields a nil injector,
-	// so a fault-free fleet stays bit-identical to one without the field.
-	f.kern.Faults = faults.New(cfg.Faults)
 	if f.policy == nil {
 		f.policy = FixedTTL{KeepAlive: cfg.KeepAlive, ScaleToZeroAfter: cfg.ScaleToZeroAfter}
+	}
+	if f.placer == nil {
+		f.placer = LocalityAware{}
+	}
+	for id := 0; id < cfg.hostCount(); id++ {
+		// Arm each kernel's fault seams. A zero plan yields a nil injector,
+		// so a fault-free fleet stays bit-identical to one without the field.
+		plan := cfg.Faults
+		plan.Seed ^= uint64(id) * 0x9E3779B97F4A7C15
+		kern := kernel.New(cfg.Cost)
+		kern.Faults = faults.New(plan)
+		f.hosts = append(f.hosts, &host{kern: kern, stats: HostStats{ID: id}})
 	}
 	// chainFed marks functions referenced by a chain stage: they may omit
 	// their own open-loop arrival process (RatePerSec == 0).
@@ -710,35 +816,24 @@ func NewFleet(cfg Config, loads []FunctionLoad) (*Fleet, error) {
 		if err := load.Runtime.Validate(); err != nil {
 			return nil, fmt.Errorf("trace: %s: %w", name, err)
 		}
-		// The deployed profile is the measured one through the runtime
-		// overlay — a zero overlay returns it unchanged, byte for byte.
-		prof := load.Runtime.Apply(load.Entry.Prof)
-		// Zero constructor containers so the store kind can be set first;
-		// the warm floor is added explicitly (pre-warmed, like the
-		// constructor path).
-		pl, err := faas.NewPlatformOn(f.engine, f.kern, prof, cfg.Mode, 0, cfg.Seed+uint64(i)*7919)
-		if err != nil {
-			return nil, err
-		}
-		pl.Store = cfg.Store
-		pl.CloneScaleOut = cfg.CloneScaleOut
-		if _, err := pl.AddWarmContainer(); err != nil {
-			return nil, err
-		}
 		target := load.SLOTargetMs
 		if target == 0 {
 			target = cfg.SLOTargetMs
 		}
 		fs := &fnState{
 			load:        load,
-			platform:    pl,
-			stats:       newFunctionStats(load.Entry.Prof.DisplayName(), cfg.SketchStats),
+			pools:       make([]*faas.Platform, len(f.hosts)),
+			seed:        cfg.Seed + uint64(i)*7919,
+			stats:       newFunctionStats(name, cfg.SketchStats, len(f.hosts)),
 			rng:         sim.NewRand(cfg.Seed ^ uint64(i)*0x9E3779B97F4A7C15),
 			sloTargetMs: target,
 		}
 		fs.setPolicy(f.policy)
 		fs.redispatch = func() { f.dispatch(fs) }
 		f.fns = append(f.fns, fs)
+		if err := f.addWarmContainer(fs); err != nil {
+			return nil, err
+		}
 	}
 	for _, ev := range cfg.Events {
 		if ev.Function == "" {
@@ -813,21 +908,28 @@ func (f *Fleet) setPolicy(p Policy) {
 }
 
 // signals assembles the policy's observation set for one function at the
-// current virtual time. Percentiles are computed on copies — reading a
-// signal must never disturb the stats the fleet is still accumulating. For
-// SignalFree policies the expensive observations (the Memory page walk,
-// the p95 copy-and-sort) are skipped: the decisions ignore them anyway.
+// current virtual time, over all its hosts: pool size and warming count
+// sum over pools, and CloneReady holds if any host can clone. Percentiles
+// are computed on copies — reading a signal must never disturb the stats
+// the fleet is still accumulating. For SignalFree policies the expensive
+// observations (the Memory page walk, the p95 copy-and-sort) are skipped:
+// the decisions ignore them anyway.
 func (f *Fleet) signals(fs *fnState, now sim.Time) Signals {
 	sig := Signals{
 		Now:         now,
 		QueueDepth:  fs.queueDepth(),
-		PoolSize:    len(fs.platform.Containers()),
 		Requests:    fs.stats.Requests,
 		SLOTargetMs: fs.sloTargetMs,
 	}
-	for _, c := range fs.platform.Containers() {
-		if c.Ready() > now && c.Requests() == 0 {
-			sig.Warming++
+	for _, pl := range fs.pools {
+		if pl == nil {
+			continue
+		}
+		sig.PoolSize += len(pl.Containers())
+		for _, c := range pl.Containers() {
+			if c.Ready() > now && c.Requests() == 0 {
+				sig.Warming++
+			}
 		}
 	}
 	sig.Crashes = fs.stats.Crashes + fs.stats.EventCrashes
@@ -839,12 +941,17 @@ func (f *Fleet) signals(fs *fnState, now sim.Time) Signals {
 			sig.CrashRatePerSec = float64(n) / span.Seconds()
 		}
 	}
-	sig.CloneReady = fs.platform.CloneSourceReady()
+	for _, pl := range fs.pools {
+		if pl != nil && pl.CloneSourceReady() {
+			sig.CloneReady = true
+			break
+		}
+	}
 	// Memory is handed out as a lazy memoized thunk: resetting the memo
 	// invalidates any earlier snapshot's view, and the O(resident pages)
 	// walk runs only if (and when) the policy calls Get — at most once per
 	// snapshot.
-	fs.memMemo = memoryMemo{platform: fs.platform}
+	fs.memMemo = memoryMemo{pools: fs.pools}
 	sig.Memory = MemorySignal{memo: &fs.memMemo}
 	if n := len(fs.arrivalTimes); n > 0 {
 		if span := now.Sub(fs.arrivalTimes[0]); span > 0 {
@@ -966,19 +1073,24 @@ func (f *Fleet) Run() (*Result, error) {
 		return nil, f.err
 	}
 
-	res := &Result{PeakFrames: f.kern.Phys.Peak(), EndFrames: f.kern.Phys.InUse()}
+	res := &Result{Registry: f.registry.Stats(), PeakFrames: f.peakFrames, EndFrames: f.framesInUse()}
 	if deadline > 0 {
 		res.MeanFrames = f.frameArea / float64(deadline)
 	}
 	for _, fs := range f.fns {
-		// Fold the platform's recovery counters into the per-function stats;
+		// Fold the platforms' recovery counters into the per-function stats;
 		// Crashes and RestoreFaults were already counted on the dispatch path.
-		rec := fs.platform.Recovery()
-		fs.stats.ColdStartRetries = rec.ColdStartRetries
-		fs.stats.RetryBackoff = rec.RetryBackoff
-		fs.stats.CloneFallbacks = rec.CloneFallbacks
-		fs.stats.DonorsQuarantined = rec.DonorsQuarantined
-		fs.stats.ImageIntegrityFailures = rec.ImageIntegrityFailures
+		for _, pl := range fs.pools {
+			if pl == nil {
+				continue
+			}
+			rec := pl.Recovery()
+			fs.stats.ColdStartRetries += rec.ColdStartRetries
+			fs.stats.RetryBackoff += rec.RetryBackoff
+			fs.stats.CloneFallbacks += rec.CloneFallbacks
+			fs.stats.DonorsQuarantined += rec.DonorsQuarantined
+			fs.stats.ImageIntegrityFailures += rec.ImageIntegrityFailures
+		}
 		res.PerFunction = append(res.PerFunction, fs.stats)
 	}
 	sort.Slice(res.PerFunction, func(i, j int) bool {
@@ -991,35 +1103,62 @@ func (f *Fleet) Run() (*Result, error) {
 		res.Chains = append(res.Chains, st)
 	}
 	sort.Slice(res.Chains, func(i, j int) bool { return res.Chains[i].Name < res.Chains[j].Name })
+	for id, h := range f.hosts {
+		hs := h.stats
+		hs.PeakFrames = h.kern.Phys.Peak()
+		hs.EndFrames = h.kern.Phys.InUse()
+		for _, fs := range f.fns {
+			if pl := fs.pools[id]; pl != nil {
+				if _, _, ok := pl.ExportedImage(); ok {
+					hs.ImagesHeld++
+				}
+			}
+		}
+		res.PeakFrames = max(res.PeakFrames, hs.PeakFrames)
+		res.PerHost = append(res.PerHost, hs)
+	}
 	return res, nil
 }
 
-// sampleFrames advances the frame-seconds integral to now (clamped to the
-// deadline: the mean is defined over the window, not the drain).
+// framesInUse sums the live frames over all hosts.
+func (f *Fleet) framesInUse() int {
+	n := 0
+	for _, h := range f.hosts {
+		n += h.kern.Phys.InUse()
+	}
+	return n
+}
+
+// sampleFrames advances the frame-seconds integral and the sampled peak to
+// now (clamped to the deadline: the mean is defined over the window, not
+// the drain).
 func (f *Fleet) sampleFrames(now, deadline sim.Time) {
 	if now > deadline {
 		now = deadline
 	}
+	inUse := f.framesInUse()
+	f.peakFrames = max(f.peakFrames, inUse)
 	if dt := float64(now - f.lastSample); dt > 0 {
-		f.frameArea += float64(f.kern.Phys.InUse()) * dt
+		f.frameArea += float64(inUse) * dt
 		f.lastSample = now
 	}
 }
 
-// reapIdle applies the function's resolved policy to its pool.
+// reapIdle applies the function's resolved policy to its pools.
 //
-// Tier one: containers above the policy's warm floor are removed when
-// Policy.Reap says so, given their idle time. The pool is re-read after
-// every removal — faas.Platform.RemoveContainer compacts the live slice in
-// place, so ranging over a pre-reap snapshot would visit shifted (and stale
+// Tier one: containers above the policy's warm floor (counted over all
+// hosts) are removed when Policy.Reap says so, given their idle time,
+// scanning hosts in ID order. The pools are re-read after every removal —
+// faas.Platform.RemoveContainer compacts the live slice in place, so
+// ranging over a pre-reap snapshot would visit shifted (and stale
 // duplicate) entries and over-count removals.
 //
 // Tier two (scale-to-zero): with no queued requests, the last container is
 // removed when Policy.Reap(last=true) says so. Policy.EvictImage then
-// decides whether the deployment's snapshot image goes too; a policy that
-// keeps it has the clone template captured first (EnsureCloneTemplate), so
-// the next scale-up revives the pool at clone cost instead of replaying the
-// pipeline.
+// decides whether the function's snapshot images go too, on every host; a
+// policy that keeps them has the clone template captured first
+// (EnsureCloneTemplate), so the next scale-up revives the pool at clone
+// cost instead of replaying the pipeline.
 //
 // In tier one a container that never served measures idleness from
 // Ready() — the time it became able to serve. An orphaned scale-up (its
@@ -1033,9 +1172,64 @@ func (f *Fleet) reapIdle(fs *fnState, now sim.Time) {
 	if floor < 1 {
 		floor = 1 // the last container belongs to the scale-to-zero tier
 	}
-	for len(fs.platform.Containers()) > floor {
-		removed := false
-		for _, c := range fs.platform.Containers() {
+	for fs.poolSize() > floor {
+		if !f.reapOne(fs, sig, now) {
+			return
+		}
+		// Refresh the whole observation set: a half-updated snapshot (new
+		// pool size, old memory figures) would skew per-container rent for
+		// the next decision.
+		sig = f.signals(fs, now)
+	}
+
+	if fs.queueDepth() > 0 || floor > 1 {
+		return
+	}
+	switch fs.poolSize() {
+	case 0:
+		// The pool already scaled to zero with its images kept: re-consult
+		// the eviction verdict every tick. The rate estimate decays after
+		// traffic stops, so a "keep" made mid-traffic must be allowed to
+		// flip once holding the images no longer pays.
+		if fs.policy.EvictImage(sig) {
+			f.evictImages(fs)
+		}
+	case 1:
+		var pl *faas.Platform
+		for _, p := range fs.pools {
+			if p != nil && len(p.Containers()) == 1 {
+				pl = p
+				break
+			}
+		}
+		c := pl.Containers()[0]
+		if c.Ready() > now || !fs.policy.Reap(sig, now.Sub(c.Ready()), true) {
+			return
+		}
+		evict := fs.policy.EvictImage(sig)
+		if !evict {
+			// Keep the revival path cheap: capture the donor template before
+			// the donor disappears. The template (and its snapshot) survives
+			// the container's removal.
+			pl.EnsureCloneTemplate()
+		}
+		pl.RemoveContainer(c)
+		fs.stats.Reaped++
+		fs.stats.ScaledToZero++
+		if evict {
+			f.evictImages(fs)
+		}
+	}
+}
+
+// reapOne removes the first idle container, in host-ID order, that the
+// policy's tier-one Reap selects, and reports whether it found one.
+func (f *Fleet) reapOne(fs *fnState, sig Signals, now sim.Time) bool {
+	for _, pl := range fs.pools {
+		if pl == nil {
+			continue
+		}
+		for _, c := range pl.Containers() {
 			if c.Ready() > now {
 				continue // busy (or still cold-starting)
 			}
@@ -1044,112 +1238,39 @@ func (f *Fleet) reapIdle(fs *fnState, now sim.Time) {
 				idleSince = c.Ready() // never served: idle since serveable
 			}
 			if fs.policy.Reap(sig, now.Sub(idleSince), false) {
-				fs.platform.RemoveContainer(c)
+				pl.RemoveContainer(c)
 				fs.stats.Reaped++
-				// Refresh the whole observation set: a half-updated
-				// snapshot (new pool size, old memory figures) would
-				// skew per-container rent for the next decision.
-				sig = f.signals(fs, now)
-				removed = true
-				break // re-read the pool; the slice just changed under us
+				return true
 			}
 		}
-		if !removed {
-			return
-		}
 	}
+	return false
+}
 
-	if fs.queueDepth() > 0 || floor > 1 {
-		return
-	}
-	cs := fs.platform.Containers()
-	if len(cs) == 0 {
-		// The pool already scaled to zero with its image kept: re-consult
-		// the eviction verdict every tick. The rate estimate decays after
-		// traffic stops, so a "keep" made mid-traffic must be allowed to
-		// flip once holding the image no longer pays.
-		if fs.policy.EvictImage(sig) && fs.platform.EvictImage() {
+// evictImages releases the function's snapshot image on every host that
+// holds one.
+func (f *Fleet) evictImages(fs *fnState) {
+	for _, pl := range fs.pools {
+		if pl != nil && pl.EvictImage() {
 			fs.stats.ImagesEvicted++
 		}
-		return
-	}
-	if len(cs) != 1 {
-		return
-	}
-	c := cs[0]
-	if c.Ready() > now || !fs.policy.Reap(sig, now.Sub(c.Ready()), true) {
-		return
-	}
-	evict := fs.policy.EvictImage(sig)
-	if !evict {
-		// Keep the revival path cheap: capture the donor template before
-		// the donor disappears. The template (and its snapshot) survives
-		// the container's removal.
-		fs.platform.EnsureCloneTemplate()
-	}
-	fs.platform.RemoveContainer(c)
-	fs.stats.Reaped++
-	fs.stats.ScaledToZero++
-	if evict && fs.platform.EvictImage() {
-		fs.stats.ImagesEvicted++
 	}
 }
 
-// dispatch hands queued requests to available containers, scaling the pool
-// up (with a cold start) when all are busy and the cap allows.
+// dispatch hands queued requests to available containers on any host,
+// scaling the pool up when all are busy and the cap allows.
 func (f *Fleet) dispatch(fs *fnState) {
 	if f.err != nil {
 		return
 	}
 	now := f.engine.Now()
 	for fs.queueDepth() > 0 {
-		c := f.pickReady(fs, now)
+		c, pl := fs.pickReady(now)
 		if c == nil {
-			// No container free right now: ask the policy how many to add
-			// (clamped to the pool's headroom), then wait for the earliest
-			// ready time either way.
-			added := false
-			if headroom := f.cfg.MaxContainersPerFunction - len(fs.platform.Containers()); headroom > 0 {
-				n := fs.policy.ScaleUp(f.signals(fs, now))
-				if n > headroom {
-					n = headroom
-				}
-				if n < 1 && len(fs.platform.Containers()) == 0 {
-					n = 1 // an empty pool must scale or the queue starves
-				}
-				for i := 0; i < n; i++ {
-					nc, err := fs.platform.AddContainer()
-					if err != nil {
-						if faas.IsTransient(err) {
-							// The platform's own retry budget is already
-							// spent; hold the queue and re-dispatch after a
-							// backoff instead of killing the fleet — faults
-							// delay requests, they must not drop them.
-							fs.coldFailStreak++
-							f.engine.After(retryDispatchDelay(fs.coldFailStreak), fs.redispatch)
-							return
-						}
-						f.err = err
-						f.engine.Stop()
-						return
-					}
-					fs.coldFailStreak = 0
-					cold := nc.ColdStart()
-					fs.stats.ColdStarts++
-					fs.stats.ColdStartCost += cold.Total
-					if cold.ClonedFrom >= 0 {
-						fs.stats.CloneColdStarts++
-						fs.stats.CloneLatency.AddDuration(cold.Total)
-					} else {
-						fs.stats.FullColdStarts++
-						fs.stats.FullColdLatency.AddDuration(cold.Total)
-					}
-					f.engine.At(nc.Ready(), fs.redispatch)
-					added = true
-				}
-			}
-			if !added {
-				if next := f.earliestReady(fs); next > now {
+			// No container free right now: scale up, or wait for the
+			// earliest ready time when nothing was added.
+			if f.scaleUp(fs, now) {
+				if next := fs.earliestReady(); next > now {
 					f.engine.At(next, fs.redispatch)
 				}
 			}
@@ -1159,7 +1280,7 @@ func (f *Fleet) dispatch(fs *fnState) {
 		// the head of the queue to retry on another container (or a fresh
 		// cold start) — it is only consumed once a response was delivered.
 		qr := fs.queueHead()
-		st, err := fs.platform.Serve(c, "")
+		st, err := pl.Serve(c, "")
 		if err != nil {
 			if errors.Is(err, faas.ErrContainerCrashed) {
 				fs.stats.Crashes++
@@ -1168,8 +1289,7 @@ func (f *Fleet) dispatch(fs *fnState) {
 				}
 				continue
 			}
-			f.err = err
-			f.engine.Stop()
+			f.fail(err)
 			return
 		}
 		fs.dequeue()
@@ -1198,11 +1318,73 @@ func (f *Fleet) dispatch(fs *fnState) {
 	}
 }
 
-// applyEvent executes one scheduled failure event against every targeted
-// function, then re-dispatches: a crash wave's queued requests must start
-// their recovery cold starts at the event's time, not the next arrival's.
+// scaleUp asks the policy how many containers to add (clamped to the
+// pool's headroom) and places each one. It reports whether the caller
+// should wake up at the pool's earliest ready time: true when nothing was
+// added; false when every added container armed its own wake-up, a retry
+// is scheduled, or the fleet failed.
+func (f *Fleet) scaleUp(fs *fnState, now sim.Time) bool {
+	headroom := f.cfg.MaxContainersPerFunction - fs.poolSize()
+	if headroom <= 0 {
+		return true
+	}
+	sig := f.signals(fs, now)
+	n := min(fs.policy.ScaleUp(sig), headroom)
+	if n < 1 && fs.poolSize() == 0 {
+		n = 1 // an empty pool must scale or the queue starves
+	}
+	for i := 0; i < n; i++ {
+		if !f.addContainer(fs, sig, now) {
+			return false
+		}
+	}
+	return n < 1
+}
+
+// retry holds the function's queue after a failed scale-up and
+// re-dispatches it after the backoff — faults delay requests, they must
+// not drop them.
+func (f *Fleet) retry(fs *fnState) {
+	fs.coldFailStreak++
+	f.engine.After(retryDispatchDelay(fs.coldFailStreak), fs.redispatch)
+}
+
+// fail stops the run with a non-recoverable error.
+func (f *Fleet) fail(err error) {
+	f.err = err
+	f.engine.Stop()
+}
+
+// applyEvent executes one scheduled failure event, then re-dispatches: a
+// crash wave's queued requests must start their recovery cold starts at
+// the event's time, not the next arrival's. A function event acts on every
+// targeted function's pools, re-dispatching each function as it goes; a
+// host event empties the host of every function, releases its images and
+// pending pulls, takes it out of the rotation, and then re-dispatches
+// every function so displaced queues recover on the survivors.
 func (f *Fleet) applyEvent(ev Event) {
 	if f.err != nil {
+		return
+	}
+	if ev.Kind == EventHostFail || ev.Kind == EventHostDrain {
+		h := f.hosts[ev.Host]
+		if !h.alive() {
+			return
+		}
+		for _, fs := range f.fns {
+			if pl := fs.pools[ev.Host]; pl != nil {
+				f.emptyPool(fs, pl, ev.Kind == EventHostFail)
+				if pl.EvictImage() {
+					fs.stats.ImagesEvicted++
+				}
+			}
+		}
+		f.registry.DropHost(ev.Host)
+		h.stats.Failed = ev.Kind == EventHostFail
+		h.stats.Drained = ev.Kind == EventHostDrain
+		for _, fs := range f.fns {
+			f.dispatch(fs)
+		}
 		return
 	}
 	for _, fs := range f.fns {
@@ -1211,74 +1393,93 @@ func (f *Fleet) applyEvent(ev Event) {
 		}
 		switch ev.Kind {
 		case EventCrashWave:
-			for {
-				cs := fs.platform.Containers()
-				if len(cs) == 0 {
-					break
-				}
-				fs.platform.RemoveContainer(cs[0])
-				fs.stats.EventCrashes++
-				if !fs.signalFree {
-					fs.observeCrash(f.engine.Now())
+			for _, pl := range fs.pools {
+				if pl != nil {
+					f.emptyPool(fs, pl, true)
 				}
 			}
 		case EventCorruptImage:
-			fs.platform.CorruptImage()
-		case EventDrain:
-			for {
-				cs := fs.platform.Containers()
-				if len(cs) == 0 {
-					break
+			for _, pl := range fs.pools {
+				if pl != nil {
+					pl.CorruptImage()
 				}
-				fs.platform.RemoveContainer(cs[0])
-				fs.stats.Drained++
 			}
-			if fs.platform.EvictImage() {
-				fs.stats.ImagesEvicted++
+		case EventDrain:
+			for _, pl := range fs.pools {
+				if pl != nil {
+					f.emptyPool(fs, pl, false)
+				}
 			}
+			f.evictImages(fs)
 		}
 		f.dispatch(fs)
 	}
 }
 
-// Teardown removes every container and evicts every deployment's snapshot
-// image, then reports the kernel's remaining in-use frame count. On a
-// leak-free fleet — any fault plan, any event schedule — the answer is the
-// kernel's baseline (0): every frame a partial or crashed operation touched
-// was released.
+// emptyPool removes every container from one of the function's pools,
+// counting each as crashed (EventCrashes) or drained (Drained).
+func (f *Fleet) emptyPool(fs *fnState, pl *faas.Platform, crashed bool) {
+	for len(pl.Containers()) > 0 {
+		pl.RemoveContainer(pl.Containers()[0])
+		if !crashed {
+			fs.stats.Drained++
+			continue
+		}
+		fs.stats.EventCrashes++
+		if !fs.signalFree {
+			fs.observeCrash(f.engine.Now())
+		}
+	}
+}
+
+// Teardown removes every container and evicts every function's snapshot
+// images on every host, then reports the remaining in-use frame count
+// summed over hosts. On a leak-free fleet — any fault plan, any event
+// schedule — the answer is the kernels' baseline (0): every frame a
+// partial or crashed operation touched was released.
 func (f *Fleet) Teardown() int {
 	for _, fs := range f.fns {
-		for {
-			cs := fs.platform.Containers()
-			if len(cs) == 0 {
-				break
+		for _, pl := range fs.pools {
+			if pl == nil {
+				continue
 			}
-			fs.platform.RemoveContainer(cs[0])
-		}
-		fs.platform.EvictImage()
-	}
-	return f.kern.Phys.InUse()
-}
-
-// Kernel exposes the fleet's shared kernel (frame accounting assertions).
-func (f *Fleet) Kernel() *kernel.Kernel { return f.kern }
-
-// pickReady returns a container that can serve right now, or nil.
-func (f *Fleet) pickReady(fs *fnState, now sim.Time) *faas.Container {
-	for _, c := range fs.platform.Containers() {
-		if c.Ready() <= now {
-			return c
+			for len(pl.Containers()) > 0 {
+				pl.RemoveContainer(pl.Containers()[0])
+			}
+			pl.EvictImage()
 		}
 	}
-	return nil
+	return f.framesInUse()
 }
 
-// earliestReady returns the soonest ready time across the pool.
-func (f *Fleet) earliestReady(fs *fnState) sim.Time {
+// pickReady returns a container that can serve right now, with its pool,
+// scanning hosts in ID order; nil when every container is busy.
+func (fs *fnState) pickReady(now sim.Time) (*faas.Container, *faas.Platform) {
+	for _, pl := range fs.pools {
+		if pl == nil {
+			continue
+		}
+		for _, c := range pl.Containers() {
+			if c.Ready() <= now {
+				return c, pl
+			}
+		}
+	}
+	return nil, nil
+}
+
+// earliestReady returns the soonest ready time across the function's
+// pools.
+func (fs *fnState) earliestReady() sim.Time {
 	var best sim.Time
-	for _, c := range fs.platform.Containers() {
-		if best == 0 || c.Ready() < best {
-			best = c.Ready()
+	for _, pl := range fs.pools {
+		if pl == nil {
+			continue
+		}
+		for _, c := range pl.Containers() {
+			if best == 0 || c.Ready() < best {
+				best = c.Ready()
+			}
 		}
 	}
 	return best
