@@ -9,6 +9,10 @@
 //	ghbench -e all -quick           # everything, reduced scale
 //	ghbench -e bench-restore        # restore hot-path microbenchmark (+JSON)
 //	ghbench -list                   # enumerate experiments
+//
+// Every bench-* experiment also writes its summary to -json-dir as
+// BENCH_<name>.json, the experiment name minus "bench-" with dashes turned
+// to underscores: bench-fleet-xl writes BENCH_fleet_xl.json.
 package main
 
 import (
@@ -16,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"groundhog/internal/catalog"
@@ -40,23 +45,8 @@ func main() {
 		max   = flag.Int("benchmarks", 0, "limit number of catalog benchmarks (0 = all 58)")
 		seed  = flag.Uint64("seed", 1, "simulation seed")
 		list  = flag.Bool("list", false, "list experiments and exit")
+		dir   = flag.String("json-dir", ".", "directory bench-* experiments write BENCH_<name>.json to (empty disables)")
 	)
-	flag.StringVar(&restoreJSONPath, "restore-json", "BENCH_restore.json",
-		"output path for the bench-restore JSON summary (empty disables)")
-	flag.StringVar(&coldstartJSONPath, "coldstart-json", "BENCH_coldstart.json",
-		"output path for the bench-coldstart JSON summary (empty disables)")
-	flag.StringVar(&fleetJSONPath, "fleet-json", "BENCH_fleet.json",
-		"output path for the bench-fleet JSON summary (empty disables)")
-	flag.StringVar(&policyJSONPath, "policy-json", "BENCH_policy.json",
-		"output path for the bench-policy JSON summary (empty disables)")
-	flag.StringVar(&faultsJSONPath, "faults-json", "BENCH_faults.json",
-		"output path for the bench-faults JSON summary (empty disables)")
-	flag.StringVar(&fleetXLJSONPath, "fleet-xl-json", "BENCH_fleet_xl.json",
-		"output path for the bench-fleet-xl JSON summary (empty disables)")
-	flag.StringVar(&clusterJSONPath, "cluster-json", "BENCH_cluster.json",
-		"output path for the bench-cluster JSON summary (empty disables)")
-	flag.StringVar(&scenariosJSONPath, "scenarios-json", "BENCH_scenarios.json",
-		"output path for the bench-scenarios JSON summary (empty disables)")
 	flag.Parse()
 
 	if *list {
@@ -84,15 +74,16 @@ func main() {
 	if *exp == "all" {
 		names = experimentNames
 	}
-	if err := run(cfg, names, *quick); err != nil {
+	if err := run(cfg, names, *quick, *dir); err != nil {
 		fmt.Fprintf(os.Stderr, "ghbench: %v\n", err)
 		os.Exit(1)
 	}
 }
 
 // run executes the named experiments, computing the shared 58-benchmark
-// dataset at most once.
-func run(cfg experiments.Config, names []string, quick bool) error {
+// dataset at most once and writing each benchmark's JSON summary to
+// jsonDir.
+func run(cfg experiments.Config, names []string, quick bool, jsonDir string) error {
 	var ds *experiments.Dataset
 	dataset := func() (*experiments.Dataset, error) {
 		if ds != nil {
@@ -179,24 +170,16 @@ func run(cfg experiments.Config, names []string, quick bool) error {
 			tb, err = experiments.Fleet(cfg)
 		case "ablation-timevirt":
 			tb, err = experiments.AblationTimeVirt(cfg)
-		case "bench-restore":
-			tb, err = benchRestore(cfg, quick)
-		case "bench-coldstart":
-			tb, err = benchColdStart(cfg)
-		case "bench-fleet":
-			tb, err = benchFleet(cfg, quick)
-		case "bench-policy":
-			tb, err = benchPolicy(cfg, quick)
-		case "bench-faults":
-			tb, err = benchFaults(cfg, quick)
-		case "bench-fleet-xl":
-			tb, err = benchFleetXL(cfg, quick)
-		case "bench-cluster":
-			tb, err = benchCluster(cfg, quick)
-		case "bench-scenarios":
-			tb, err = benchScenarios(cfg, quick)
 		default:
-			return fmt.Errorf("unknown experiment %q (try -list)", name)
+			key := strings.ToLower(name)
+			bench, ok := benches[key]
+			if !ok {
+				return fmt.Errorf("unknown experiment %q (try -list)", name)
+			}
+			var summary any
+			if tb, summary, err = bench(cfg, quick); err == nil {
+				err = writeBenchJSON(jsonDir, key, summary)
+			}
 		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
@@ -206,17 +189,18 @@ func run(cfg experiments.Config, names []string, quick bool) error {
 	return nil
 }
 
-// writeBenchJSON marshals a benchmark summary to path (empty disables),
-// logging the write; every bench-* experiment shares it so the artifact
-// format cannot diverge.
-func writeBenchJSON(path string, v any) error {
-	if path == "" {
+// writeBenchJSON marshals the summary of benchmark name (bench-fleet-xl) to
+// dir as BENCH_fleet_xl.json (empty dir disables), logging the write; every
+// bench-* experiment shares it so the artifact format cannot diverge.
+func writeBenchJSON(dir, name string, v any) error {
+	if dir == "" {
 		return nil
 	}
 	blob, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
+	path := filepath.Join(dir, "BENCH_"+strings.ReplaceAll(strings.TrimPrefix(name, "bench-"), "-", "_")+".json")
 	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
 		return err
 	}
@@ -224,165 +208,64 @@ func writeBenchJSON(path string, v any) error {
 	return nil
 }
 
-// restoreJSONPath is where benchRestore writes its machine-readable summary.
-var restoreJSONPath string
+// bench runs one benchmark experiment, returning its console table and the
+// summary writeBenchJSON commits.
+type bench func(cfg experiments.Config, quick bool) (*metrics.Table, any, error)
 
-// benchRestore runs the steady-state restore microbenchmark under both write
-// trackers (soft-dirty and UFFD) and writes BENCH_restore.json — a JSON array
-// with one entry per tracker — next to the console table, so CI and scripts
-// can track both hot paths' wall time and allocation rate across commits.
-func benchRestore(cfg experiments.Config, quick bool) (*metrics.Table, error) {
-	heapPages, iters := 4096, 2000
-	if quick {
-		heapPages, iters = 1024, 500
-	}
-	res, err := experiments.RestoreBenchVariants(cfg, heapPages, 128, iters)
-	if err != nil {
-		return nil, err
-	}
-	if err := writeBenchJSON(restoreJSONPath, res); err != nil {
-		return nil, err
-	}
-	return experiments.RestoreBenchTable(res...), nil
+// benches holds the bench-* experiments. bench/README.md documents each
+// summary's schema; the committed baselines pin it.
+var benches = map[string]bench{
+	// The steady-state restore microbenchmark, one entry per write tracker
+	// (soft-dirty, UFFD): wall time and allocation rate of both hot paths.
+	"bench-restore": func(cfg experiments.Config, quick bool) (*metrics.Table, any, error) {
+		heapPages, iters := 4096, 2000
+		if quick {
+			heapPages, iters = 1024, 500
+		}
+		res, err := experiments.RestoreBenchVariants(cfg, heapPages, 128, iters)
+		if err != nil {
+			return nil, nil, err
+		}
+		return experiments.RestoreBenchTable(res...), res, nil
+	},
+	// Full Fig. 1 cold start vs. snapshot clone under both StateStore kinds
+	// (§5.5), one entry per store. Deterministic virtual time, so quick
+	// mode needs no reduction.
+	"bench-coldstart": func(cfg experiments.Config, _ bool) (*metrics.Table, any, error) {
+		tb, res, err := experiments.ColdStartScaleOut(cfg)
+		return tb, res, err
+	},
+	// The bursty multi-function fleet with keep-alive-only scaling vs.
+	// clone scale-out plus scale-to-zero image eviction.
+	"bench-fleet": single(experiments.FleetBench, experiments.FleetBenchTable),
+	// The same fleet once per scheduling policy: the cost/latency frontier.
+	"bench-policy": single(experiments.PolicyBench, experiments.PolicyBenchTable),
+	// The fleet with every fault seam armed: the recovery invariants.
+	"bench-faults": single(experiments.FaultsBench, experiments.FaultsBenchTable),
+	// The million-request engine benchmark; the committed baseline uses the
+	// full window, quick shrinks it for local smoke runs.
+	"bench-fleet-xl": single(experiments.FleetXLBench, experiments.FleetXLBenchTable),
+	// Multi-host placement, one entry per placer, through a host failure,
+	// a drain and a fault plan.
+	"bench-cluster": func(cfg experiments.Config, quick bool) (*metrics.Table, any, error) {
+		res, err := experiments.ClusterBench(cfg, quick)
+		if err != nil {
+			return nil, nil, err
+		}
+		return experiments.ClusterBenchTable(res), res, nil
+	},
+	// Chains with fan-out, stateful functions and runtime overlays.
+	"bench-scenarios": single(experiments.ScenariosBench, experiments.ScenariosBenchTable),
 }
 
-// coldstartJSONPath is where benchColdStart writes its summary.
-var coldstartJSONPath string
-
-// benchColdStart runs the snapshot-clone scale-out benchmark — full Fig. 1
-// cold start vs. clone cold start under both StateStore kinds (§5.5), plus
-// fleet memory at 1/4/16 containers — and writes BENCH_coldstart.json (one
-// array entry per store) so CI can gate on cold-start cost and frame-sharing
-// regressions. The sweep is deterministic virtual time, so quick mode needs
-// no reduction.
-func benchColdStart(cfg experiments.Config) (*metrics.Table, error) {
-	tb, res, err := experiments.ColdStartScaleOut(cfg)
-	if err != nil {
-		return nil, err
+// single adapts a benchmark with one result; its summary is a one-element
+// array, the shape the baselines pin.
+func single[R any](run func(experiments.Config, bool) (R, error), table func(R) *metrics.Table) bench {
+	return func(cfg experiments.Config, quick bool) (*metrics.Table, any, error) {
+		res, err := run(cfg, quick)
+		if err != nil {
+			return nil, nil, err
+		}
+		return table(res), []R{res}, nil
 	}
-	if err := writeBenchJSON(coldstartJSONPath, res); err != nil {
-		return nil, err
-	}
-	return tb, nil
-}
-
-// fleetJSONPath is where benchFleet writes its summary.
-var fleetJSONPath string
-
-// benchFleet runs the clone-aware fleet benchmark — the same bursty
-// multi-function workload dispatched once with keep-alive-only scaling and
-// once with snapshot-clone scale-out plus scale-to-zero image eviction — and
-// writes BENCH_fleet.json so CI can gate on the fleet-level latency,
-// cold-start-cost, and frame figures.
-func benchFleet(cfg experiments.Config, quick bool) (*metrics.Table, error) {
-	res, err := experiments.FleetBench(cfg, quick)
-	if err != nil {
-		return nil, err
-	}
-	if err := writeBenchJSON(fleetJSONPath, []experiments.FleetBenchResult{res}); err != nil {
-		return nil, err
-	}
-	return experiments.FleetBenchTable(res), nil
-}
-
-// policyJSONPath is where benchPolicy writes its summary.
-var policyJSONPath string
-
-// benchPolicy runs the scheduling-policy benchmark — the same bursty
-// multi-function workload dispatched once per policy (fixed-ttl, slo-aware,
-// cost-min) on a clone-enabled fleet — and writes BENCH_policy.json so CI
-// can gate on the cost/latency frontier: SLO misses and mean-frame drift
-// both fail the gate.
-func benchPolicy(cfg experiments.Config, quick bool) (*metrics.Table, error) {
-	res, err := experiments.PolicyBench(cfg, quick)
-	if err != nil {
-		return nil, err
-	}
-	if err := writeBenchJSON(policyJSONPath, []experiments.PolicyBenchResult{res}); err != nil {
-		return nil, err
-	}
-	return experiments.PolicyBenchTable(res), nil
-}
-
-// faultsJSONPath is where benchFaults writes its summary.
-var faultsJSONPath string
-
-// benchFaults runs the fault-injection benchmark — the bursty
-// multi-function workload on a clone-enabled fleet with every fault seam
-// armed at ~1% plus scheduled crash-wave/corruption/drain events — and
-// writes BENCH_faults.json so CI can hold the recovery invariants:
-// lost_requests and leaked_frames are identity-gated at zero, the retry
-// backoff and latency tail drift-gated.
-func benchFaults(cfg experiments.Config, quick bool) (*metrics.Table, error) {
-	res, err := experiments.FaultsBench(cfg, quick)
-	if err != nil {
-		return nil, err
-	}
-	if err := writeBenchJSON(faultsJSONPath, []experiments.FaultsBenchResult{res}); err != nil {
-		return nil, err
-	}
-	return experiments.FaultsBenchTable(res), nil
-}
-
-// fleetXLJSONPath is where benchFleetXL writes its summary.
-var fleetXLJSONPath string
-
-// benchFleetXL runs the million-request engine benchmark — 24 functions
-// with bursty and diurnal arrival mixes on one sketch-backed
-// clone-scale-out fleet — and writes BENCH_fleet_xl.json so CI can gate
-// the engine itself: retained allocations per request (tight "allocs"
-// rule), simulated requests/sec (one-sided floor), and the deterministic
-// fleet outputs (identity/drift rules). quick shrinks the window for
-// local smoke runs; the committed baseline uses the full window.
-func benchFleetXL(cfg experiments.Config, quick bool) (*metrics.Table, error) {
-	res, err := experiments.FleetXLBench(cfg, quick)
-	if err != nil {
-		return nil, err
-	}
-	if err := writeBenchJSON(fleetXLJSONPath, []experiments.FleetXLBenchResult{res}); err != nil {
-		return nil, err
-	}
-	return experiments.FleetXLBenchTable(res), nil
-}
-
-// clusterJSONPath is where benchCluster writes its summary.
-var clusterJSONPath string
-
-// benchCluster runs the multi-host placement benchmark — the bursty
-// multi-function workload on a 4-host GH cluster, once per placer
-// (locality-aware, round-robin, pack-first), each under the same fault
-// plan, a mid-run host failure, and a drain — and writes BENCH_cluster.json
-// (one array entry per placer) so CI can hold the cluster invariants:
-// lost_requests and leaked_frames identity-gated at zero, cold-start cost,
-// transfer cost, latency tail, and frame counts drift-gated.
-func benchCluster(cfg experiments.Config, quick bool) (*metrics.Table, error) {
-	res, err := experiments.ClusterBench(cfg, quick)
-	if err != nil {
-		return nil, err
-	}
-	if err := writeBenchJSON(clusterJSONPath, res); err != nil {
-		return nil, err
-	}
-	return experiments.ClusterBenchTable(res), nil
-}
-
-// scenariosJSONPath is where benchScenarios writes its summary.
-var scenariosJSONPath string
-
-// benchScenarios runs the workload-scenario benchmark — a staged chain with
-// fan-out, stateful functions against the external state store, and one
-// function under three runtime overlays, each on a clone-scale-out GH
-// fleet — and writes BENCH_scenarios.json (one entry per scenario) so CI
-// can hold the scenario invariants: chains_lost, lost_requests, and
-// leaked_frames identity-gated at zero, the per-scenario slo_met booleans
-// at identity, and the latency/cost tails drift-gated.
-func benchScenarios(cfg experiments.Config, quick bool) (*metrics.Table, error) {
-	res, err := experiments.ScenariosBench(cfg, quick)
-	if err != nil {
-		return nil, err
-	}
-	if err := writeBenchJSON(scenariosJSONPath, []experiments.ScenariosBenchResult{res}); err != nil {
-		return nil, err
-	}
-	return experiments.ScenariosBenchTable(res), nil
 }

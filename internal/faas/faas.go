@@ -786,20 +786,6 @@ func (pl *Platform) CorruptImage() bool {
 	return true
 }
 
-// CaptureCloneTemplate captures the deployment's clone template immediately,
-// distinguishing the failure kinds EnsureCloneTemplate folds into false:
-// ErrNoDonor when no eligible donor is pooled, a plain error when clone
-// scale-out is off.
-func (pl *Platform) CaptureCloneTemplate() error {
-	if !pl.CloneScaleOut {
-		return fmt.Errorf("faas: clone scale-out disabled")
-	}
-	if pl.cloneSource() == nil {
-		return fmt.Errorf("faas: capture clone template: %w", ErrNoDonor)
-	}
-	return nil
-}
-
 // ColdStartSummary is the deployment's cumulative scale-up bill: how many
 // containers ran the full Fig. 1 pipeline vs. the snapshot-clone fast path
 // (pre-warmed constructor containers count as full — they did run the

@@ -54,16 +54,18 @@ func TestInvokeOnceNoContainersSentinel(t *testing.T) {
 	}
 }
 
+// TestCaptureCloneTemplateNoDonor: a fork pool has no eligible clone donor,
+// so capturing its template for an export fails with ErrNoDonor; a GH pool
+// captures one.
 func TestCaptureCloneTemplateNoDonor(t *testing.T) {
 	pl := newPlatform(t, isolation.ModeFork, 1)
 	pl.CloneScaleOut = true
-	err := pl.CaptureCloneTemplate()
-	if !errors.Is(err, ErrNoDonor) {
+	if _, _, err := pl.EnsureExportedImage(sim.NewMeter()); !errors.Is(err, ErrNoDonor) {
 		t.Fatalf("fork pool capture = %v, want ErrNoDonor", err)
 	}
 	gh := clonePlatform(t, isolation.ModeGH)
-	if err := gh.CaptureCloneTemplate(); err != nil {
-		t.Fatalf("GH pool capture failed: %v", err)
+	if !gh.EnsureCloneTemplate() {
+		t.Fatal("GH pool capture failed")
 	}
 }
 

@@ -387,21 +387,20 @@ func (g *Gateway) handleFn(w http.ResponseWriter, r *http.Request) {
 	jobPool.Put(j)
 }
 
-// failInvoke maps an invoke error onto the HTTP status taxonomy: gone
-// deployments 404 (and the stale route is dropped so the next request
-// re-registers), transient failures 503 + Retry-After, everything else 500.
+// failInvoke answers an invoke error with server.HTTPStatus, the status
+// taxonomy the control plane's /invoke shares: gone deployments 404 (and
+// the stale route is dropped so the next request re-registers), transient
+// failures 503 + Retry-After, deploy failures 400, everything else 500.
 func (g *Gateway) failInvoke(w http.ResponseWriter, rt *route, err error) {
-	switch {
-	case errors.Is(err, server.ErrGone):
+	status := server.HTTPStatus(err)
+	switch status {
+	case http.StatusNotFound:
 		g.dropRoute(rt)
-		http.Error(w, err.Error(), http.StatusNotFound)
-	case faas.IsTransient(err):
+	case http.StatusServiceUnavailable:
 		g.transient.Add(1)
 		w.Header().Set("Retry-After", rt.retryAfter())
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
+	http.Error(w, err.Error(), status)
 }
 
 // route returns the cached route for (name, mode index), registering it on

@@ -10,6 +10,8 @@ package server
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"groundhog/internal/faas"
 	"groundhog/internal/faults"
@@ -45,44 +47,16 @@ func (s *Server) DataPlane(fn string, mode isolation.Mode) (*Handle, error) {
 	return &Handle{s: s, dep: dep}, nil
 }
 
-// Invoke runs one request from caller against the deployment, deploying the
-// platform on first use and — unlike the control plane — re-pooling an
-// empty deployment (crash-drained or reaped to zero) with a fresh cold
-// start before giving up: a data plane heals its pool rather than shedding
-// every request after a failure burst. Transient failures (injected
-// crashes, exhausted cold-start retries) still propagate for the caller to
-// map to 503 + Retry-After.
+// Invoke runs one request from caller against the deployment — the same
+// invoke step as the control plane's /invoke: deploy on first use, re-pool
+// an empty deployment, run, record. Failures map through HTTPStatus; a
+// transient one (an injected crash, exhausted cold-start retries) is the
+// caller's cue to answer 503 + Retry-After.
 func (h *Handle) Invoke(caller string) (faas.RequestStats, error) {
-	dep := h.dep
-	dep.mu.Lock()
-	defer dep.mu.Unlock()
-	if dep.gone {
-		return faas.RequestStats{}, ErrGone
-	}
-	if dep.platform == nil {
-		if err := dep.deploy(); err != nil {
-			h.s.undeploy(dep)
-			dep.gone = true
-			return faas.RequestStats{}, err
-		}
-	}
-	dep.host.mu.Lock()
-	if len(dep.platform.Containers()) == 0 {
-		// Self-heal: one scale-up attempt (the platform's own retry budget
-		// applies inside). Failure is transient — the next request tries
-		// again.
-		if _, err := dep.platform.AddContainer(); err != nil {
-			dep.host.mu.Unlock()
-			return faas.RequestStats{}, err
-		}
-	}
-	st, err := dep.platform.InvokeOnce(caller)
-	dep.host.mu.Unlock()
-	if err != nil {
-		return faas.RequestStats{}, err
-	}
-	dep.record(st)
-	return st, nil
+	h.dep.mu.Lock()
+	defer h.dep.mu.Unlock()
+	st, _, err := h.s.invoke(h.dep, caller)
+	return st, err
 }
 
 // ColdStartMeanMs reports the deployment's observed mean cold-start cost in
@@ -115,13 +89,8 @@ func (h *Handle) ArmFaults(plan faults.Plan) error {
 	dep := h.dep
 	dep.mu.Lock()
 	defer dep.mu.Unlock()
-	if dep.gone {
-		return ErrGone
-	}
-	if dep.platform == nil {
-		if err := dep.deploy(); err != nil {
-			return err
-		}
+	if _, err := h.s.ensure(dep); err != nil {
+		return err
 	}
 	dep.host.mu.Lock()
 	dep.platform.Kern.Faults = faults.New(plan)
@@ -134,24 +103,17 @@ func (h *Handle) ArmFaults(plan faults.Plan) error {
 // the host pool), and cached handles fail with ErrGone. An in-flight invoke
 // holding the deployment lock completes and delivers its response first —
 // undeploy never loses an accepted request. Returns false when no such
-// deployment exists.
+// deployment exists or another removal took it out first.
 func (s *Server) Undeploy(fn string, mode isolation.Mode) bool {
 	s.mu.Lock()
-	key := fn + "|" + string(mode)
-	dep, ok := s.deployments[key]
-	if ok {
-		delete(s.deployments, key)
-		dep.host.load--
-	}
+	dep, ok := s.deployments[deploymentKey(fn, mode)]
 	s.mu.Unlock()
 	if !ok {
 		return false
 	}
 	dep.mu.Lock()
-	dep.gone = true
-	dep.teardown()
-	dep.mu.Unlock()
-	return true
+	defer dep.mu.Unlock()
+	return s.remove(dep)
 }
 
 // Shutdown undeploys everything and reports the residual frame count across
@@ -160,19 +122,13 @@ func (s *Server) Undeploy(fn string, mode isolation.Mode) bool {
 // shutdown: invokes fail with ErrGone until a new deployment registers.
 func (s *Server) Shutdown() int {
 	s.mu.Lock()
-	deps := make([]*deployment, 0, len(s.deployments))
-	for _, dep := range s.deployments {
-		deps = append(deps, dep)
-	}
-	s.deployments = make(map[string]*deployment)
+	deps := slices.Collect(maps.Values(s.deployments))
 	hosts := s.hosts
 	s.mu.Unlock()
 
 	for _, dep := range deps {
 		dep.mu.Lock()
-		dep.gone = true
-		dep.host.load--
-		dep.teardown()
+		s.remove(dep)
 		dep.mu.Unlock()
 	}
 	total := 0
@@ -184,23 +140,35 @@ func (s *Server) Shutdown() int {
 	return total
 }
 
-// teardown releases the deployment's platform memory: every container
+// remove takes dep out of service — the one removal routine behind a failed
+// deploy, Undeploy and Shutdown. The registry entry goes (unless a fresh
+// deployment already re-registered the key), cached handles fail with
+// ErrGone from now on, and the platform is torn down: every container
 // removed (address spaces exited, snapshot frame references released) and
-// the exported image evicted. Caller holds dep.mu.
-func (dep *deployment) teardown() {
+// the exported image evicted, frames back to the host pool. Reports false
+// when dep was already removed. Caller holds dep.mu; taking s.mu inside
+// keeps the lock order acyclic, as no path acquires a deployment lock while
+// holding s.mu.
+func (s *Server) remove(dep *deployment) bool {
+	if dep.gone {
+		return false
+	}
+	dep.gone = true
+	s.mu.Lock()
+	if s.deployments[dep.key] == dep {
+		delete(s.deployments, dep.key)
+	}
+	s.mu.Unlock()
 	if dep.platform == nil {
-		return
+		return true
 	}
 	dep.host.mu.Lock()
-	for {
-		cs := dep.platform.Containers()
-		if len(cs) == 0 {
-			break
-		}
+	for cs := dep.platform.Containers(); len(cs) > 0; cs = dep.platform.Containers() {
 		dep.platform.RemoveContainer(cs[0])
 	}
 	dep.platform.EvictImage()
 	dep.host.mu.Unlock()
+	return true
 }
 
 // record updates the per-deployment request counters after a served

@@ -3,11 +3,11 @@
 // (one platform per function × isolation mode) are created lazily on first
 // invocation and stay warm, exactly like reused containers; repeated
 // invocations against the same deployment therefore exercise container
-// reuse with or without request isolation. Deployments are spread
-// least-loaded across a small set of simulated hosts (DefaultHosts, or
-// ghserve's -hosts flag), each host owning one kernel and physical-memory
-// pool, so /deployments reports per-host memory rather than a single
-// machine-wide aggregate.
+// reuse with or without request isolation. A trace.Placer spreads
+// deployments round-robin across a small set of simulated hosts
+// (DefaultHosts, or ghserve's -hosts flag), each host owning one kernel and
+// physical-memory pool, so /deployments reports per-host memory rather than
+// a single machine-wide aggregate.
 //
 // Endpoints:
 //
@@ -21,7 +21,9 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"slices"
 	"strings"
@@ -42,15 +44,20 @@ import (
 // simulation is single-threaded, so a per-deployment mutex serializes
 // invocations of the same function × mode; unrelated deployments run
 // concurrently up to their host's kernel lock. The server's own mutex
-// guards the deployments map, the host list, and the deploy-time
-// configuration.
+// guards the deployments map, the hosts and their placer, and the
+// deploy-time configuration.
 type Server struct {
 	mu    sync.Mutex
 	cost  kernel.CostModel
 	seed  uint64
 	trust bool
 
-	hosts       []*serverHost
+	hosts []*serverHost
+	// placer picks each new deployment's host from views, one static
+	// HostView per host: the server tracks no per-host occupancy, so the
+	// fleet's round-robin placer spreads deployments evenly.
+	placer      trace.Placer
+	views       []trace.HostView
 	deployments map[string]*deployment
 }
 
@@ -59,27 +66,30 @@ const DefaultHosts = 4
 
 // serverHost is one simulated machine: a kernel (and so a physical-memory
 // pool) shared by every deployment placed on it. Its mutex serializes the
-// colocated platforms' kernel traffic; the placement load counter is
-// guarded by the server mutex instead, because placement happens under it.
+// colocated platforms' kernel traffic.
 type serverHost struct {
 	id   int
 	mu   sync.Mutex
 	kern *kernel.Kernel
-	load int // deployments placed here; guarded by Server.mu
 }
 
-func newHosts(cost kernel.CostModel, n int) []*serverHost {
-	hosts := make([]*serverHost, n)
-	for i := range hosts {
-		hosts[i] = &serverHost{id: i, kern: kernel.New(cost)}
+// resetHosts installs n fresh hosts and a fresh placer over them. Caller
+// holds s.mu (or owns s).
+func (s *Server) resetHosts(n int) {
+	s.hosts = make([]*serverHost, n)
+	s.views = make([]trace.HostView, n)
+	for i := range s.hosts {
+		s.hosts[i] = &serverHost{id: i, kern: kernel.New(s.cost)}
+		s.views[i] = trace.HostView{Host: i}
 	}
-	return hosts
+	s.placer = &trace.RoundRobin{}
 }
 
 // deployment is one function × mode platform. Its mutex covers the platform
 // (constructed lazily on the first invocation, so a slow cold start never
 // blocks the whole server) and the invocation counter.
 type deployment struct {
+	key   string // the registry key, fn|mode
 	fn    string
 	mode  isolation.Mode
 	prof  runtimes.Profile
@@ -89,9 +99,9 @@ type deployment struct {
 
 	mu       sync.Mutex
 	platform *faas.Platform
-	// gone marks an undeployed deployment: the record left the registry
-	// (Undeploy, Shutdown) and cached data-plane handles must fail with
-	// ErrGone instead of reviving it.
+	// gone marks a removed deployment: the record left the registry
+	// (failed deploy, Undeploy, Shutdown) and cached data-plane handles must
+	// fail with ErrGone instead of reviving it.
 	gone     bool
 	invoked  int
 	restored int
@@ -110,13 +120,13 @@ const e2eWindow = 128
 // New returns a server with the default cost model and DefaultHosts
 // simulated hosts.
 func New() *Server {
-	cost := kernel.Default()
-	return &Server{
-		cost:        cost,
+	s := &Server{
+		cost:        kernel.Default(),
 		seed:        1,
-		hosts:       newHosts(cost, DefaultHosts),
 		deployments: make(map[string]*deployment),
 	}
+	s.resetHosts(DefaultHosts)
+	return s
 }
 
 // SetTrustSameCaller enables the §4.4 trusted-caller optimization on all
@@ -139,7 +149,7 @@ func (s *Server) SetHosts(n int) error {
 	if len(s.deployments) > 0 {
 		return fmt.Errorf("server: SetHosts after %d deployment(s) registered", len(s.deployments))
 	}
-	s.hosts = newHosts(s.cost, n)
+	s.resetHosts(n)
 	return nil
 }
 
@@ -247,41 +257,16 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	}
 
 	dep.mu.Lock()
-	defer dep.mu.Unlock()
-	if dep.gone {
-		// Undeployed between the registry lookup and the lock: the record is
-		// already out of the map, so the client's retry re-registers afresh.
-		http.Error(w, ErrGone.Error(), http.StatusNotFound)
-		return
-	}
-	fresh := dep.platform == nil
-	if fresh {
-		if err := dep.deploy(); err != nil {
-			s.undeploy(dep)
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-	// The host lock covers the kernel traffic of the invocation (frame
-	// allocation, restore), serializing colocated deployments the way one
-	// machine's memory subsystem would.
-	dep.host.mu.Lock()
-	st, err := dep.platform.InvokeOnce(caller)
-	dep.host.mu.Unlock()
+	st, fresh, err := s.invoke(dep, caller)
 	if err != nil {
-		// Transient failures — an empty pool, a crashed container, an
-		// exhausted cold-start retry budget — are the client's cue to retry,
-		// not a server bug: 503 with a Retry-After, like a real invoker
-		// shedding load during a failure burst.
-		if faas.IsTransient(err) {
+		dep.mu.Unlock()
+		status := HTTPStatus(err)
+		if status == http.StatusServiceUnavailable {
 			w.Header().Set("Retry-After", "1")
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
 		}
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		http.Error(w, err.Error(), status)
 		return
 	}
-	dep.record(st)
 	resp := InvokeResponse{
 		Function:     fn,
 		Mode:         string(mode),
@@ -300,6 +285,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 			resp.ColdStartMS = float64(cs[0].ColdStart().Total) / 1e6
 		}
 	}
+	dep.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -309,7 +295,7 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 func (s *Server) deployment(fn string, mode isolation.Mode) (*deployment, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := fn + "|" + string(mode)
+	key := deploymentKey(fn, mode)
 	if dep, ok := s.deployments[key]; ok {
 		return dep, nil
 	}
@@ -317,33 +303,88 @@ func (s *Server) deployment(fn string, mode isolation.Mode) (*deployment, error)
 	if err != nil {
 		return nil, err
 	}
-	// Least-loaded placement (by deployment count, lowest host ID on ties):
-	// the simple spreading baseline — deployments never migrate, so the
-	// choice is permanent for the deployment's lifetime.
-	host := s.hosts[0]
-	for _, h := range s.hosts[1:] {
-		if h.load < host.load {
-			host = h
-		}
-	}
-	host.load++
+	// Deployments never migrate, so the placer's choice is permanent for
+	// the deployment's lifetime.
 	dep := &deployment{
-		fn: fn, mode: mode, prof: entry.Prof,
-		host: host, seed: s.seed, trust: s.trust,
+		key: key, fn: fn, mode: mode, prof: entry.Prof,
+		host: s.hosts[s.placer.Place(trace.Signals{}, s.views)],
+		seed: s.seed, trust: s.trust,
 	}
 	s.deployments[key] = dep
 	return dep, nil
 }
 
-// undeploy removes a deployment whose platform construction failed, so the
-// next invocation retries and /deployments never lists a dead entry. The
-// caller holds dep.mu; lock ordering stays acyclic because no code path
-// acquires a deployment lock while holding s.mu.
-func (s *Server) undeploy(dep *deployment) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dep.host.load--
-	delete(s.deployments, dep.fn+"|"+string(dep.mode))
+func deploymentKey(fn string, mode isolation.Mode) string { return fn + "|" + string(mode) }
+
+// invoke is the one invoke step both planes run: it deploys the platform on
+// first use, re-pools an empty deployment (crash-drained or reaped to zero)
+// with one fresh scale-up — a pool heals rather than shedding every request
+// after a failure burst — runs the request and records it. fresh reports
+// whether this request paid the deploy. Caller holds dep.mu; lock order is
+// dep.mu → dep.host.mu.
+func (s *Server) invoke(dep *deployment, caller string) (st faas.RequestStats, fresh bool, err error) {
+	if fresh, err = s.ensure(dep); err != nil {
+		return st, false, err
+	}
+	// The host lock covers the kernel traffic of the invocation (frame
+	// allocation, restore), serializing colocated deployments the way one
+	// machine's memory subsystem would.
+	dep.host.mu.Lock()
+	if len(dep.platform.Containers()) == 0 {
+		// The platform's own cold-start retry budget applies inside; a
+		// failure is transient and the next request tries again.
+		_, err = dep.platform.AddContainer()
+	}
+	if err == nil {
+		st, err = dep.platform.InvokeOnce(caller)
+	}
+	dep.host.mu.Unlock()
+	if err != nil {
+		return faas.RequestStats{}, fresh, err
+	}
+	dep.record(st)
+	return st, fresh, nil
+}
+
+// ensure deploys dep's platform on first use; fresh reports whether this
+// call did. A removed deployment fails with ErrGone. A failed deploy
+// removes the deployment, so no handle cached before the failure can revive
+// a record the registry no longer lists; the next lookup registers afresh.
+// Caller holds dep.mu.
+func (s *Server) ensure(dep *deployment) (fresh bool, err error) {
+	if dep.gone {
+		return false, ErrGone
+	}
+	if dep.platform != nil {
+		return false, nil
+	}
+	if err := dep.deploy(); err != nil {
+		s.remove(dep)
+		return false, err
+	}
+	return true, nil
+}
+
+// errDeploy wraps every deploy failure, so HTTPStatus can tell a function
+// the mode cannot run (400) from a failed request (500).
+var errDeploy = errors.New("deploy")
+
+// HTTPStatus maps an invoke error onto the status both planes answer with:
+// a removed deployment 404; a transient failure 503, to be sent with a
+// Retry-After — a crash, an empty pool, or a cold start that exhausted its
+// retry budget, on first deploy or not; any other deploy failure 400; the
+// rest 500.
+func HTTPStatus(err error) int {
+	switch {
+	case errors.Is(err, ErrGone):
+		return http.StatusNotFound
+	case faas.IsTransient(err):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, errDeploy):
+		return http.StatusBadRequest
+	default:
+		return http.StatusInternalServerError
+	}
 }
 
 // deploy constructs the platform (the cold start) on the deployment's host:
@@ -355,7 +396,7 @@ func (d *deployment) deploy() error {
 	defer d.host.mu.Unlock()
 	pl, err := faas.NewPlatformOn(sim.NewEngine(), d.host.kern, d.prof, d.mode, 1, d.seed)
 	if err != nil {
-		return fmt.Errorf("deploy %s under %s on host %d: %w", d.fn, d.mode, d.host.id, err)
+		return fmt.Errorf("%w %s under %s on host %d: %w", errDeploy, d.fn, d.mode, d.host.id, err)
 	}
 	pl.TrustSameCaller = d.trust
 	d.platform = pl
@@ -529,10 +570,7 @@ func (dep *deployment) describe() DeploymentInfo {
 
 func (s *Server) handleDeployments(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	deps := make([]*deployment, 0, len(s.deployments))
-	for _, dep := range s.deployments {
-		deps = append(deps, dep)
-	}
+	deps := slices.Collect(maps.Values(s.deployments))
 	s.mu.Unlock()
 
 	out := []DeploymentInfo{}

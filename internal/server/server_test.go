@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"groundhog/internal/faults"
+	"groundhog/internal/isolation"
 )
 
 func testServer(t *testing.T) (*Server, *httptest.Server) {
@@ -328,8 +330,8 @@ func TestInjectedCrashAnswers503(t *testing.T) {
 
 // TestZeroContainerDeployment: a platform drained by keep-alive expiry
 // (RemoveContainer) must not panic the handlers — /deployments reports a
-// zero cold start, and /invoke answers 503 + Retry-After (an empty pool is
-// a transient condition the client should retry, not a server bug).
+// zero cold start — and /invoke re-pools it with a fresh scale-up, as the
+// data plane does, instead of shedding every request.
 func TestZeroContainerDeployment(t *testing.T) {
 	s, ts := testServer(t)
 	u := ts.URL + "/invoke?fn=" + url.QueryEscape("version (p)") + "&mode=gh"
@@ -348,12 +350,12 @@ func TestZeroContainerDeployment(t *testing.T) {
 	if len(deps) != 1 || deps[0].ColdStartMS != 0 {
 		t.Fatalf("zero-container deployment listing = %+v, want one entry with zero cold start", deps)
 	}
-	resp := post(t, u, nil)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("invoke on drained platform: status %d, want 503", resp.StatusCode)
+	if resp := post(t, u, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("invoke on drained platform: status %d, want 200", resp.StatusCode)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 without a Retry-After header")
+	get(t, ts.URL+"/deployments", &deps)
+	if len(deps) != 1 || deps[0].Containers != 1 {
+		t.Fatalf("drained deployment after invoke = %+v, want one entry re-pooled to 1 container", deps)
 	}
 }
 
@@ -431,5 +433,93 @@ func TestSetHostsRejectsLiveResize(t *testing.T) {
 	post(t, ts.URL+"/invoke?fn="+url.QueryEscape("get-time (p)")+"&mode=gh", nil)
 	if err := s.SetHosts(8); err == nil {
 		t.Fatal("live resize accepted with a registered deployment")
+	}
+}
+
+// armHost arms (or, with a nil schedule, disarms) the shared kernel of the
+// host h's deployment lives on.
+func armHost(t *testing.T, h *Handle, sched map[faults.Site][]uint64) {
+	t.Helper()
+	if err := h.ArmFaults(faults.Plan{Seed: 1, Schedule: sched}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailedDeployLeavesNoOrphan: a cold start that fails on /invoke takes
+// the deployment out of service for both planes. A data-plane handle cached
+// before the failure must not revive a deployment the registry no longer
+// lists — its frames would outlive Shutdown.
+func TestFailedDeployLeavesNoOrphan(t *testing.T) {
+	s, ts := testServer(t)
+	if err := s.SetHosts(1); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := s.DataPlane("version (p)", isolation.ModeGH)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := warm.Invoke(""); err != nil {
+		t.Fatal(err)
+	}
+	cached, err := s.DataPlane("get-time (p)", isolation.ModeGH)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	armHost(t, warm, map[faults.Site][]uint64{faults.SiteColdStart: {1, 2, 3, 4}})
+	post(t, ts.URL+"/invoke?fn="+url.QueryEscape("get-time (p)")+"&mode=gh", nil)
+	armHost(t, warm, nil)
+
+	_, err = cached.Invoke("")
+	var deps []DeploymentInfo
+	get(t, ts.URL+"/deployments", &deps)
+	listed := false
+	for _, d := range deps {
+		listed = listed || d.Function == "get-time (p)"
+	}
+	if leaked := s.Shutdown(); leaked != 0 {
+		t.Fatalf("Shutdown leaked %d frames", leaked)
+	}
+	switch {
+	case errors.Is(err, ErrGone):
+	case err == nil:
+		if !listed {
+			t.Fatalf("cached handle served a deployment /deployments omits: %+v", deps)
+		}
+	default:
+		t.Fatalf("cached handle after failed deploy: %v, want ErrGone or success", err)
+	}
+}
+
+// TestTransientDeployFailureAnswers503: a deploy whose cold start exhausts
+// its retry budget is retryable — /invoke answers 503 + Retry-After like a
+// crash, and the client's retry deploys afresh once the fault clears.
+func TestTransientDeployFailureAnswers503(t *testing.T) {
+	s, ts := testServer(t)
+	if err := s.SetHosts(1); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := s.DataPlane("version (p)", isolation.ModeGH)
+	if err != nil {
+		t.Fatal(err)
+	}
+	armHost(t, warm, map[faults.Site][]uint64{faults.SiteColdStart: {1, 2, 3, 4}})
+
+	u := ts.URL + "/invoke?fn=" + url.QueryEscape("get-time (p)") + "&mode=gh"
+	resp := post(t, u, nil)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("transient deploy failure: status %d, want 503", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("503 without a Retry-After header")
+	}
+
+	armHost(t, warm, nil)
+	var ok InvokeResponse
+	if resp := post(t, u, &ok); resp.StatusCode != http.StatusOK || ok.ColdStartMS <= 0 {
+		t.Fatalf("retry after the fault cleared: status %d, %+v", resp.StatusCode, ok)
+	}
+	if leaked := s.Shutdown(); leaked != 0 {
+		t.Fatalf("Shutdown leaked %d frames", leaked)
 	}
 }
